@@ -10,13 +10,12 @@ ascending) so results do not depend on chunking or worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import IndexedDataset, Vocabulary, _encode_triples
-from .evaluation import entity_scores_batch, relation_scores_batch
+from .evaluation import entity_scores_batch, map_chunks, relation_scores_batch
 from .model import ModelParams
 
 
@@ -80,19 +79,6 @@ class _TopK:
         return self.ids, self.scores
 
 
-def _spans(total: int, chunk: int):
-    return [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
-
-
-def _map_ordered(fn, spans, workers: int):
-    if workers <= 1 or len(spans) <= 1:
-        for span in spans:
-            yield fn(span)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, spans)
-
-
 def stage1_pairs(
     params: ModelParams, config: BeamConfig, *, entity_chunk: int = 512, workers: int = 1
 ) -> ScoredTriples:
@@ -112,7 +98,7 @@ def stage1_pairs(
         rels = np.tile(np.arange(num_relations, dtype=np.int64), hi - lo)
         return np.column_stack([ents, rels]), probs.reshape(-1)
 
-    for ids, scores in _map_ordered(score_span, _spans(num_entities, entity_chunk), workers):
+    for ids, scores in map_chunks(score_span, num_entities, entity_chunk, workers):
         pool.offer(ids, scores)
     ids, scores = pool.finish()
     return ScoredTriples(triples=ids, scores=scores)
@@ -148,7 +134,7 @@ def stage2_triples(
         ids[:, 2] = np.tile(np.arange(num_entities, dtype=np.int64), hi - lo)
         return ids, scores
 
-    for ids, scores in _map_ordered(score_span, _spans(len(pair_ids), pair_chunk), workers):
+    for ids, scores in map_chunks(score_span, len(pair_ids), pair_chunk, workers):
         pool.offer(ids, scores)
     ids, scores = pool.finish()
     return ScoredTriples(triples=ids, scores=scores)

@@ -171,12 +171,12 @@ def cmd_gen_toy(args) -> int:
 def cmd_train(args) -> int:
     flags = {key: getattr(args, key) for key in TRAIN_OPTION_TYPES}
     options = _resolve(flags, TRAIN_OPTION_DEFAULTS, TRAIN_OPTION_TYPES, args.config)
+    train_config = _train_config(options)
     dataset = load_any_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(options, out_dir, {"data": str(args.data), "out": str(out_dir)})
 
-    train_config = _train_config(options)
     result = training.train(
         dataset,
         train_config,

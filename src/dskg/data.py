@@ -383,9 +383,16 @@ def _write_str(buf, text: str):
     buf.write(raw)
 
 
+def _read_exact(buf, size: int) -> bytes:
+    raw = buf.read(size)
+    if len(raw) != size:
+        raise ValueError(f"{buf.name}: truncated dataset cache")
+    return raw
+
+
 def _read_str(buf) -> str:
-    (length,) = struct.unpack("<I", buf.read(4))
-    return buf.read(length).decode("utf-8")
+    (length,) = struct.unpack("<I", _read_exact(buf, 4))
+    return _read_exact(buf, length).decode("utf-8")
 
 
 def _write_array(buf, array: np.ndarray, dtype: str):
@@ -394,7 +401,7 @@ def _write_array(buf, array: np.ndarray, dtype: str):
 
 def _read_array(buf, count: int, dtype: str) -> np.ndarray:
     itemsize = np.dtype(dtype).itemsize
-    return np.frombuffer(buf.read(count * itemsize), dtype=dtype).copy()
+    return np.frombuffer(_read_exact(buf, count * itemsize), dtype=dtype).copy()
 
 
 def save_dataset(dataset: IndexedDataset, path):
@@ -431,7 +438,7 @@ def load_dataset(path) -> IndexedDataset:
         if magic != CACHE_MAGIC:
             raise ValueError(f"{path}: not a dataset cache (bad magic {magic!r})")
         num_entities, num_relations, num_forward, n_train, n_valid, n_test = struct.unpack(
-            "<6I", buf.read(24)
+            "<6I", _read_exact(buf, 24)
         )
         entity_labels = [_read_str(buf) for _ in range(num_entities)]
         entity_freqs = _read_array(buf, num_entities, "<u8").astype(np.int64)
@@ -441,6 +448,8 @@ def load_dataset(path) -> IndexedDataset:
         train = _read_array(buf, n_train * 3, "<u4").astype(np.int32).reshape(-1, 3)
         valid = _read_array(buf, n_valid * 3, "<u4").astype(np.int32).reshape(-1, 3)
         test = _read_array(buf, n_test * 3, "<u4").astype(np.int32).reshape(-1, 3)
+        if buf.read(1):
+            raise ValueError(f"{path}: trailing bytes after the test split")
 
     vocab = Vocabulary(
         entity_labels=entity_labels,

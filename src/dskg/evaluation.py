@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import IndexedDataset
-from .model import ModelParams, active_cells, forward_batch, logits, lstm_forward
+from .model import ModelParams, entity_step, forward_batch, logits
 
 
 @dataclass
@@ -91,14 +91,8 @@ def relation_scores_batch(params: ModelParams, subjects) -> np.ndarray:
     Runs only the entity step of the forward pass; the relation step of the
     model never feeds back into this hidden state.
     """
-    subjects = np.atleast_1d(np.asarray(subjects))
-    if subjects.min() < 0 or subjects.max() >= params.num_entities:
-        raise ValueError("entity id out of range")
-    zeros = np.zeros((len(subjects), params.embed_dim), dtype=params.dtype)
-    layer_in = params.entity_embed[subjects]
-    for cell in active_cells(params, 0):
-        layer_in, _, _ = lstm_forward(cell, layer_in, zeros, zeros)
-    return _softmax64(logits(params, layer_in, "relation"))
+    h_s, *_ = entity_step(params, subjects)
+    return _softmax64(logits(params, h_s, "relation"))
 
 
 def entity_scores(params: ModelParams, subject: int, relation: int) -> np.ndarray:
@@ -113,13 +107,13 @@ def relation_prob_matrix(
     params: ModelParams, chunk: int = 1024, workers: int = 1
 ) -> np.ndarray:
     """(num_entities, num_relations) relation probabilities, one batched pass."""
-    spans = _chunk_spans(params.num_entities, chunk)
-    rows = _map_chunks(
+    rows = map_chunks(
         lambda span: relation_scores_batch(params, np.arange(span[0], span[1])),
-        spans,
+        params.num_entities,
+        chunk,
         workers,
     )
-    return np.concatenate(rows, axis=0)
+    return np.concatenate(list(rows), axis=0)
 
 
 def filtered_rank(scores, gold: int, known, *, pessimistic: bool = False) -> int:
@@ -190,15 +184,18 @@ def enhance_scores_for_query(
     )
 
 
-def _chunk_spans(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
+def map_chunks(fn, total: int, chunk: int, workers: int):
+    """Yield ``fn((lo, hi))`` for consecutive spans covering ``range(total)``, in order.
 
-
-def _map_chunks(fn, spans, workers: int):
+    Lazy with one worker, so a consumer can fold each result in before the
+    next span is scored; with more workers the spans run on a thread pool.
+    """
+    spans = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
     if workers <= 1 or len(spans) <= 1:
-        return [fn(span) for span in spans]
+        yield from map(fn, spans)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, spans))
+        yield from pool.map(fn, spans)
 
 
 def _both_direction_queries(dataset: IndexedDataset, split: str):
@@ -241,8 +238,7 @@ def evaluate_entity_prediction(
             )
         return out
 
-    spans = _chunk_spans(len(subjects), chunk)
-    ranks = np.concatenate(_map_chunks(rank_span, spans, workers))
+    ranks = np.concatenate(list(map_chunks(rank_span, len(subjects), chunk, workers)))
     return metrics_from_ranks(ranks, keep_ranks=keep_ranks)
 
 
@@ -282,8 +278,7 @@ def evaluate_cascade(
             )
         return ent, rel
 
-    spans = _chunk_spans(len(subjects), chunk)
-    parts = _map_chunks(rank_span, spans, workers)
+    parts = list(map_chunks(rank_span, len(subjects), chunk, workers))
     entity_ranks = np.concatenate([p[0] for p in parts])
     relation_ranks = np.concatenate([p[1] for p in parts])
     return metrics_from_ranks(

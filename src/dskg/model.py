@@ -4,20 +4,23 @@ A triple (s, r, o) is processed as a two-step sequence: the embedding of s
 runs through one stack of LSTM layers from a zero state, then the embedding
 of r runs through a second stack that starts from the first stack's per-layer
 states. In the default architecture the two stacks have independent cells
-("dskg"); in the shared variant both steps reuse one stack ("shared"). The
+("dskg": ``entity_cells`` at step 1, ``relation_cells`` at step 2); in the
+shared variant both steps reuse one stack ("shared": ``shared_cells``). The
 top-layer hidden state after step 1 scores relations, the one after step 2
 scores entities, each through its own output projection.
 
-Checkpoint layout: magic ``DSKGCKPT``, version byte, header
+Checkpoint layout (version 2): magic ``DSKGCKPT``, version byte, header
 (num_entities, num_relations, embed_dim, num_layers as little-endian uint32,
 architecture byte), then every tensor from :func:`named_tensors` in order as
-little-endian float32.
+little-endian float32. Only the stacks the architecture runs are stored.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,9 +28,14 @@ ARCH_DSKG = "dskg"
 ARCH_SHARED = "shared"
 _ARCH_CODES = {ARCH_DSKG: 0, ARCH_SHARED: 1}
 _ARCH_NAMES = {code: name for name, code in _ARCH_CODES.items()}
+# Cell stack run at timestep 0 (entity) and timestep 1 (relation).
+_STEP_STACKS = {
+    ARCH_DSKG: ("entity_cells", "relation_cells"),
+    ARCH_SHARED: ("shared_cells", "shared_cells"),
+}
 
 CHECKPOINT_MAGIC = b"DSKGCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 MAX_LAYERS = 4
 
@@ -40,7 +48,11 @@ def _sigmoid(x):
 
 @dataclass
 class CellParams:
-    """One LSTM cell: stacked per-gate weights (4h rows) and biases."""
+    """One LSTM cell: stacked per-gate weights (4h rows) and biases.
+
+    :func:`active_cells` builds these as views: the arrays are the entries of
+    a :class:`ModelParams` map, so in-place updates reach the map.
+    """
 
     w_x: np.ndarray  # (4h, input_dim)
     w_h: np.ndarray  # (4h, h)
@@ -50,29 +62,30 @@ class CellParams:
     def hidden_size(self) -> int:
         return self.w_h.shape[1]
 
-    def copy(self) -> "CellParams":
-        return CellParams(self.w_x.copy(), self.w_h.copy(), self.b.copy())
+
+def _tensor(name: str):
+    return property(lambda self: self.tensors[name])
 
 
 @dataclass
 class ModelParams:
-    """All trainable tensors plus the architecture switch.
+    """Trainable tensors as an ordered name -> array map, plus the architecture.
 
-    Entity, relation, and shared cell stacks all exist regardless of the
-    architecture so that gradients for the inactive branch are well-defined
-    zeros; the forward pass selects a stack per timestep.
+    The map holds embeddings, output projections and only the cell stacks the
+    architecture runs (``<stack>.<layer>.{w_x,w_h,b}``), in checkpoint order.
+    Gradients and optimizer state use the same layout.
     """
 
-    entity_embed: np.ndarray
-    relation_embed: np.ndarray
-    entity_cells: list[CellParams]
-    relation_cells: list[CellParams]
-    shared_cells: list[CellParams]
-    entity_out_w: np.ndarray
-    entity_out_b: np.ndarray
-    relation_out_w: np.ndarray
-    relation_out_b: np.ndarray
+    tensors: dict[str, np.ndarray]
     arch: str
+    num_layers: int
+
+    entity_embed = _tensor("entity_embed")
+    relation_embed = _tensor("relation_embed")
+    entity_out_w = _tensor("entity_out_w")
+    entity_out_b = _tensor("entity_out_b")
+    relation_out_w = _tensor("relation_out_w")
+    relation_out_b = _tensor("relation_out_b")
 
     @property
     def num_entities(self) -> int:
@@ -87,96 +100,50 @@ class ModelParams:
         return self.entity_embed.shape[1]
 
     @property
-    def num_layers(self) -> int:
-        return len(self.entity_cells)
-
-    @property
     def dtype(self):
         return self.entity_embed.dtype
 
+    def _map(self, fn) -> "ModelParams":
+        return ModelParams({n: fn(t) for n, t in self.tensors.items()}, self.arch, self.num_layers)
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            entity_embed=self.entity_embed.copy(),
-            relation_embed=self.relation_embed.copy(),
-            entity_cells=[c.copy() for c in self.entity_cells],
-            relation_cells=[c.copy() for c in self.relation_cells],
-            shared_cells=[c.copy() for c in self.shared_cells],
-            entity_out_w=self.entity_out_w.copy(),
-            entity_out_b=self.entity_out_b.copy(),
-            relation_out_w=self.relation_out_w.copy(),
-            relation_out_b=self.relation_out_b.copy(),
-            arch=self.arch,
-        )
+        return self._map(np.copy)
 
     def zeros_like(self) -> "ModelParams":
-        out = self.copy()
-        for _, tensor in named_tensors(out):
-            tensor[...] = 0
-        return out
+        return self._map(np.zeros_like)
 
     def astype(self, dtype) -> "ModelParams":
-        out = self.copy()
-        return ModelParams(
-            entity_embed=out.entity_embed.astype(dtype),
-            relation_embed=out.relation_embed.astype(dtype),
-            entity_cells=[
-                CellParams(c.w_x.astype(dtype), c.w_h.astype(dtype), c.b.astype(dtype))
-                for c in out.entity_cells
-            ],
-            relation_cells=[
-                CellParams(c.w_x.astype(dtype), c.w_h.astype(dtype), c.b.astype(dtype))
-                for c in out.relation_cells
-            ],
-            shared_cells=[
-                CellParams(c.w_x.astype(dtype), c.w_h.astype(dtype), c.b.astype(dtype))
-                for c in out.shared_cells
-            ],
-            entity_out_w=out.entity_out_w.astype(dtype),
-            entity_out_b=out.entity_out_b.astype(dtype),
-            relation_out_w=out.relation_out_w.astype(dtype),
-            relation_out_b=out.relation_out_b.astype(dtype),
-            arch=out.arch,
-        )
+        return self._map(lambda t: t.astype(dtype))
 
 
 def named_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Every trainable tensor with a stable name, in checkpoint order."""
-    out = [
-        ("entity_embed", params.entity_embed),
-        ("relation_embed", params.relation_embed),
-    ]
-    for stack_name, stack in (
-        ("entity_cells", params.entity_cells),
-        ("relation_cells", params.relation_cells),
-        ("shared_cells", params.shared_cells),
-    ):
-        for layer, cell in enumerate(stack):
-            out.append((f"{stack_name}.{layer}.w_x", cell.w_x))
-            out.append((f"{stack_name}.{layer}.w_h", cell.w_h))
-            out.append((f"{stack_name}.{layer}.b", cell.b))
-    out.extend(
-        [
-            ("entity_out_w", params.entity_out_w),
-            ("entity_out_b", params.entity_out_b),
-            ("relation_out_w", params.relation_out_w),
-            ("relation_out_b", params.relation_out_b),
-        ]
+    return list(params.tensors.items())
+
+
+def tensor_shapes(
+    num_entities: int, num_relations: int, embed_dim: int, num_layers: int, arch: str
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor an architecture stores, in checkpoint order."""
+    k = embed_dim
+    shapes = {"entity_embed": (num_entities, k), "relation_embed": (num_relations, k)}
+    for stack in dict.fromkeys(_STEP_STACKS[arch]):
+        for layer in range(num_layers):
+            shapes[f"{stack}.{layer}.w_x"] = (4 * k, k)
+            shapes[f"{stack}.{layer}.w_h"] = (4 * k, k)
+            shapes[f"{stack}.{layer}.b"] = (4 * k,)
+    shapes.update(
+        entity_out_w=(num_entities, k),
+        entity_out_b=(num_entities,),
+        relation_out_w=(num_relations, k),
+        relation_out_b=(num_relations,),
     )
-    return out
+    return shapes
 
 
 def _glorot(rng, rows: int, cols: int, dtype, fan_in: int | None = None, fan_out: int | None = None):
     bound = np.sqrt(6.0 / ((fan_in or rows) + (fan_out or cols)))
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
-
-
-def _init_cell(rng, input_dim: int, hidden: int, dtype) -> CellParams:
-    # One Glorot block per weight kind; the per-gate fan is (input_dim, hidden).
-    w_x = _glorot(rng, 4 * hidden, input_dim, dtype, fan_in=input_dim, fan_out=hidden)
-    w_h = _glorot(rng, 4 * hidden, hidden, dtype, fan_in=hidden, fan_out=hidden)
-    b = np.zeros(4 * hidden, dtype=dtype)
-    b[hidden : 2 * hidden] = 1.0  # forget gate starts open
-    return CellParams(w_x, w_h, b)
 
 
 def init_params(
@@ -200,32 +167,41 @@ def init_params(
 
     rng = np.random.default_rng(seed)
     k = embed_dim
-    entity_embed = _glorot(rng, num_entities, k, dtype)
-    relation_embed = _glorot(rng, num_relations, k, dtype)
-    entity_cells = [_init_cell(rng, k, k, dtype) for _ in range(num_layers)]
-    relation_cells = [_init_cell(rng, k, k, dtype) for _ in range(num_layers)]
-    shared_cells = [_init_cell(rng, k, k, dtype) for _ in range(num_layers)]
-    entity_out_w = _glorot(rng, num_entities, k, dtype)
-    relation_out_w = _glorot(rng, num_relations, k, dtype)
-    return ModelParams(
-        entity_embed=entity_embed,
-        relation_embed=relation_embed,
-        entity_cells=entity_cells,
-        relation_cells=relation_cells,
-        shared_cells=shared_cells,
-        entity_out_w=entity_out_w,
-        entity_out_b=np.zeros(num_entities, dtype=dtype),
-        relation_out_w=relation_out_w,
-        relation_out_b=np.zeros(num_relations, dtype=dtype),
-        arch=arch,
-    )
+    drawn = {
+        "entity_embed": _glorot(rng, num_entities, k, dtype),
+        "relation_embed": _glorot(rng, num_relations, k, dtype),
+    }
+    # All three stacks are drawn, in this order, whichever ones the
+    # architecture keeps: a seed then gives the same weights as in checkpoint
+    # version 1, which stored all three, so training from a seed is unchanged.
+    for stack in ("entity_cells", "relation_cells", "shared_cells"):
+        for layer in range(num_layers):
+            # One Glorot block per weight kind; the per-gate fan is (k, k).
+            drawn[f"{stack}.{layer}.w_x"] = _glorot(rng, 4 * k, k, dtype, fan_in=k, fan_out=k)
+            drawn[f"{stack}.{layer}.w_h"] = _glorot(rng, 4 * k, k, dtype, fan_in=k, fan_out=k)
+            bias = np.zeros(4 * k, dtype=dtype)
+            bias[k : 2 * k] = 1.0  # forget gate starts open
+            drawn[f"{stack}.{layer}.b"] = bias
+    drawn["entity_out_w"] = _glorot(rng, num_entities, k, dtype)
+    drawn["relation_out_w"] = _glorot(rng, num_relations, k, dtype)
+    drawn["entity_out_b"] = np.zeros(num_entities, dtype=dtype)
+    drawn["relation_out_b"] = np.zeros(num_relations, dtype=dtype)
+    shapes = tensor_shapes(num_entities, num_relations, embed_dim, num_layers, arch)
+    return ModelParams({name: drawn[name] for name in shapes}, arch, num_layers)
 
 
 def active_cells(params: ModelParams, timestep: int) -> list[CellParams]:
-    """Cells used at a timestep: entity stack at step 0, relation stack at 1."""
-    if params.arch == ARCH_SHARED:
-        return params.shared_cells
-    return params.entity_cells if timestep == 0 else params.relation_cells
+    """Views of the cells run at a timestep (0: entity step, 1: relation step).
+
+    Works on a gradient map too; in the shared architecture both timesteps
+    return views of the same arrays.
+    """
+    stack = _STEP_STACKS[params.arch][timestep]
+    t = params.tensors
+    return [
+        CellParams(t[f"{stack}.{layer}.w_x"], t[f"{stack}.{layer}.w_h"], t[f"{stack}.{layer}.b"])
+        for layer in range(params.num_layers)
+    ]
 
 
 def lstm_forward(cell: CellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
@@ -282,7 +258,41 @@ class ForwardCache:
     step2: list
     masks1: list
     masks2: list
-    states1: list
+
+
+def _run_stack(cells: list[CellParams], layer_in, states, dropout_mask):
+    """One timestep up a stack; ``states`` holds each layer's incoming (h, c).
+
+    Returns the top output and, per layer, the backward cache, the new state
+    and the dropout mask applied to the layer's upward copy (None without
+    a ``dropout_mask`` factory).
+    """
+    caches, new_states, masks = [], [], []
+    for cell, (h_prev, c_prev) in zip(cells, states):
+        h, c, cache = lstm_forward(cell, layer_in, h_prev, c_prev)
+        caches.append(cache)
+        new_states.append((h, c))
+        mask = dropout_mask() if dropout_mask else None
+        masks.append(mask)
+        layer_in = h if mask is None else h * mask
+    return layer_in, caches, new_states, masks
+
+
+def entity_step(params: ModelParams, s_ids, dropout_mask=None):
+    """Step 1: entity embeddings up the step-1 stack from a zero state.
+
+    Returns (h_s, caches, states, masks) as :func:`_run_stack` does.
+    """
+    s_ids = np.atleast_1d(np.asarray(s_ids))
+    if s_ids.min() < 0 or s_ids.max() >= params.num_entities:
+        raise ValueError("entity id out of range")
+    zeros = np.zeros((len(s_ids), params.embed_dim), dtype=params.dtype)
+    return _run_stack(
+        active_cells(params, 0),
+        params.entity_embed[s_ids],
+        [(zeros, zeros)] * params.num_layers,
+        dropout_mask,
+    )
 
 
 def forward_batch(
@@ -301,8 +311,6 @@ def forward_batch(
     """
     s_ids = np.atleast_1d(np.asarray(s_ids))
     r_ids = np.atleast_1d(np.asarray(r_ids))
-    if s_ids.min() < 0 or s_ids.max() >= params.num_entities:
-        raise ValueError("entity id out of range")
     if r_ids.min() < 0 or r_ids.max() >= params.num_relations:
         raise ValueError("relation id out of range")
     if keep_prob is not None and not 0.0 < keep_prob <= 1.0:
@@ -310,45 +318,20 @@ def forward_batch(
     if keep_prob is not None and rng is None:
         raise ValueError("dropout requires an rng")
 
-    dtype = params.dtype
-    batch = len(s_ids)
-    k = params.embed_dim
-    zeros = np.zeros((batch, k), dtype=dtype)
+    dropout_mask = None
+    if keep_prob is not None and keep_prob < 1.0:
+        shape = (len(s_ids), params.embed_dim)
 
-    def dropout_mask():
-        if keep_prob is None or keep_prob >= 1.0:
-            return None
-        keep = rng.random((batch, k)) < keep_prob
-        return (keep / keep_prob).astype(dtype)
+        def dropout_mask():
+            keep = rng.random(shape) < keep_prob
+            return (keep / keep_prob).astype(params.dtype)
 
-    cells1 = active_cells(params, 0)
-    cells2 = active_cells(params, 1)
-
-    step1, masks1, states1 = [], [], []
-    layer_in = params.entity_embed[s_ids]
-    for cell in cells1:
-        h, c, cache = lstm_forward(cell, layer_in, zeros, zeros)
-        step1.append(cache)
-        states1.append((h, c))
-        mask = dropout_mask()
-        masks1.append(mask)
-        layer_in = h if mask is None else h * mask
-    h_s = layer_in
-
-    step2, masks2 = [], []
-    layer_in = params.relation_embed[r_ids]
-    for layer, cell in enumerate(cells2):
-        h_prev, c_prev = states1[layer]
-        h, c, cache = lstm_forward(cell, layer_in, h_prev, c_prev)
-        step2.append(cache)
-        mask = dropout_mask()
-        masks2.append(mask)
-        layer_in = h if mask is None else h * mask
-    h_r = layer_in
-
+    h_s, step1, states1, masks1 = entity_step(params, s_ids, dropout_mask)
+    h_r, step2, _, masks2 = _run_stack(
+        active_cells(params, 1), params.relation_embed[r_ids], states1, dropout_mask
+    )
     cache = ForwardCache(
-        s_ids=s_ids, r_ids=r_ids, step1=step1, step2=step2,
-        masks1=masks1, masks2=masks2, states1=states1,
+        s_ids=s_ids, r_ids=r_ids, step1=step1, step2=step2, masks1=masks1, masks2=masks2
     )
     return h_s, h_r, cache
 
@@ -397,21 +380,31 @@ def logits(params: ModelParams, h: np.ndarray, kind: str, candidates=None) -> np
 
 
 def save_checkpoint(params: ModelParams, path):
-    with open(path, "wb") as buf:
-        buf.write(CHECKPOINT_MAGIC)
-        buf.write(struct.pack("<B", CHECKPOINT_VERSION))
-        buf.write(
-            struct.pack(
-                "<4IB",
-                params.num_entities,
-                params.num_relations,
-                params.embed_dim,
-                params.num_layers,
-                _ARCH_CODES[params.arch],
+    """Write a checkpoint atomically: a temporary file in the target directory
+    replaces ``path`` only once it is complete, so a failed write leaves any
+    previous checkpoint intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as buf:
+            buf.write(CHECKPOINT_MAGIC)
+            buf.write(struct.pack("<B", CHECKPOINT_VERSION))
+            buf.write(
+                struct.pack(
+                    "<4IB",
+                    params.num_entities,
+                    params.num_relations,
+                    params.embed_dim,
+                    params.num_layers,
+                    _ARCH_CODES[params.arch],
+                )
             )
-        )
-        for _, tensor in named_tensors(params):
-            buf.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+            for _, tensor in named_tensors(params):
+                buf.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, dtype=np.float32) -> ModelParams:
@@ -425,15 +418,16 @@ def load_checkpoint(path, dtype=np.float32) -> ModelParams:
         num_entities, num_relations, embed_dim, num_layers, arch_code = struct.unpack(
             "<4IB", buf.read(17)
         )
-        params = init_params(
-            num_entities, num_relations, embed_dim, num_layers,
-            arch=_ARCH_NAMES[arch_code], seed=0, dtype=dtype,
-        )
-        for name, tensor in named_tensors(params):
-            raw = buf.read(tensor.size * 4)
-            if len(raw) != tensor.size * 4:
+        arch = _ARCH_NAMES[arch_code]
+        tensors = {}
+        for name, shape in tensor_shapes(
+            num_entities, num_relations, embed_dim, num_layers, arch
+        ).items():
+            size = 4 * int(np.prod(shape))
+            raw = buf.read(size)
+            if len(raw) != size:
                 raise ValueError(f"{path}: truncated checkpoint at tensor {name}")
-            tensor[...] = np.frombuffer(raw, dtype="<f4").reshape(tensor.shape)
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
         if buf.read(1):
             raise ValueError(f"{path}: trailing bytes after last tensor")
-    return params
+    return ModelParams(tensors, arch, num_layers)

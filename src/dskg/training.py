@@ -20,6 +20,7 @@ from .data import IndexedDataset, batch_iterator
 from .model import (
     ARCH_DSKG,
     ARCH_SHARED,
+    MAX_LAYERS,
     ModelParams,
     active_cells,
     forward_batch,
@@ -67,6 +68,10 @@ class TrainConfig:
             raise ValueError(f"precision must be one of {PRECISION_CHOICES}")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
             raise ValueError("batch_size >= 1, epochs >= 0, patience >= 1 required")
+        if self.eval_interval < 1 or self.embed_dim < 1:
+            raise ValueError("eval_interval >= 1 and embed_dim >= 1 required")
+        if not 1 <= self.num_layers <= MAX_LAYERS:
+            raise ValueError(f"num_layers must be in 1..{MAX_LAYERS}")
 
     def model_arch(self) -> tuple[str, int]:
         """Map the variant name to (model architecture, layer count)."""
@@ -171,11 +176,8 @@ def _backward_term_shared(grads_w, grads_b, weight, h, true_ids, neg_ids, scores
 
 
 def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams):
-    shared = params.arch == ARCH_SHARED
-    cells1 = active_cells(params, 0)
-    cells2 = active_cells(params, 1)
-    gstack1 = grads.shared_cells if shared else grads.entity_cells
-    gstack2 = grads.shared_cells if shared else grads.relation_cells
+    cells1, cells2 = active_cells(params, 0), active_cells(params, 1)
+    gcells1, gcells2 = active_cells(grads, 0), active_cells(grads, 1)
     num_layers = params.num_layers
 
     # Relation step first: it feeds gradient back into the entity-step states.
@@ -187,9 +189,9 @@ def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams
         dx, dh_prev, dc_prev, g_wx, g_wh, g_b = lstm_backward(
             cells2[layer], cache.step2[layer], dh, np.zeros_like(dh)
         )
-        gstack2[layer].w_x += g_wx
-        gstack2[layer].w_h += g_wh
-        gstack2[layer].b += g_b
+        gcells2[layer].w_x += g_wx
+        gcells2[layer].w_h += g_wh
+        gcells2[layer].b += g_b
         carried[layer] = (dh_prev, dc_prev)
         d_out = dx
     np.add.at(grads.relation_embed, cache.r_ids, d_out)
@@ -202,9 +204,9 @@ def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams
         dx, _, _, g_wx, g_wh, g_b = lstm_backward(
             cells1[layer], cache.step1[layer], dh + dh_carry, dc_carry
         )
-        gstack1[layer].w_x += g_wx
-        gstack1[layer].w_h += g_wh
-        gstack1[layer].b += g_b
+        gcells1[layer].w_x += g_wx
+        gcells1[layer].w_h += g_wh
+        gcells1[layer].b += g_b
         d_out = dx
     np.add.at(grads.entity_embed, cache.s_ids, d_out)
 

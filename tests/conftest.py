@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from dskg import data
-from dskg.model import init_params, named_tensors
+from dskg.model import ARCH_SHARED, ModelParams, init_params, named_tensors
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -47,6 +47,28 @@ def make_params(num_entities=6, num_relations=4, embed_dim=4, num_layers=1,
     for _, tensor in named_tensors(params):
         tensor += rng.normal(0.0, jitter, tensor.shape).astype(dtype)
     return params
+
+
+def equalized_pair(params):
+    """(dskg, shared) models whose every cell is ``params``' entity-step cell.
+
+    The dskg model gets its relation stack overwritten with its entity stack;
+    the shared model's one stack is built from that same entity stack.
+    """
+    dskg = params.copy()
+    for name, tensor in dskg.tensors.items():
+        if name.startswith("relation_cells."):
+            tensor[...] = dskg.tensors[name.replace("relation_cells.", "entity_cells.", 1)]
+    shared = ModelParams(
+        {
+            name.replace("entity_cells.", "shared_cells.", 1): tensor.copy()
+            for name, tensor in dskg.tensors.items()
+            if not name.startswith("relation_cells.")
+        },
+        ARCH_SHARED,
+        params.num_layers,
+    )
+    return dskg, shared
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import make_params
+from conftest import equalized_pair, make_params
 from test_evaluation import oracle_evaluate, oracle_filtered_rank, random_toy_dataset
 from test_beam import oracle_pairs, oracle_triples
 
@@ -285,12 +285,11 @@ def test_criterion_8_reduced_scale_benchmark():
 
 
 def test_criterion_9_variant_reduction_bitwise():
-    params = make_params(num_entities=20, num_relations=8, embed_dim=8, num_layers=2,
-                         dtype=np.float32, seed=31)
-    params.relation_cells = [c.copy() for c in params.entity_cells]
-    params.shared_cells = [c.copy() for c in params.entity_cells]
-    shared = params.copy()
-    shared.arch = ARCH_SHARED
+    params, shared = equalized_pair(
+        make_params(num_entities=20, num_relations=8, embed_dim=8, num_layers=2,
+                    dtype=np.float32, seed=31)
+    )
+    assert shared.arch == ARCH_SHARED
 
     rng = np.random.default_rng(0)
     subjects = rng.integers(0, 20, size=1000)

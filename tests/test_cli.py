@@ -145,6 +145,18 @@ class TestTrain:
         assert resolved["layers"] == "2"      # env beats file
         assert resolved["seed"] == "9"        # flag beats env
 
+    def test_zero_eval_interval_is_one_line_error(self, tiny_dir, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "train", "--data", str(tiny_dir), "--out", str(tmp_path / "run"),
+            "--eval-interval", "0",
+        )
+        assert code != 0
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        kind, name, message = lines[0].split("\t", 2)
+        assert kind == "error" and name == "ValueError"
+        assert "eval_interval" in message
+
     def test_training_writes_checkpoint_and_log(self, trained):
         _, checkpoint = trained
         assert checkpoint.exists()

@@ -244,6 +244,20 @@ class TestCache:
         with pytest.raises(ValueError, match="magic"):
             data.load_dataset(path)
 
+    def test_truncated_cache_rejected(self, tiny_dataset, tmp_path):
+        path = tmp_path / "dataset.dskg"
+        data.save_dataset(tiny_dataset, path)
+        path.write_bytes(path.read_bytes()[:-12])  # one test triple short
+        with pytest.raises(ValueError, match="truncated"):
+            data.load_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tiny_dataset, tmp_path):
+        path = tmp_path / "dataset.dskg"
+        data.save_dataset(tiny_dataset, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 12)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            data.load_dataset(path)
+
     def test_save_is_deterministic(self, tiny_dataset, tmp_path):
         p1, p2 = tmp_path / "one.dskg", tmp_path / "two.dskg"
         data.save_dataset(tiny_dataset, p1)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import make_params, scalar_lstm_oracle
+from conftest import equalized_pair, make_params, scalar_lstm_oracle
 from dskg import model
 from dskg.model import (
     CellParams,
+    active_cells,
     forward_batch,
     forward_triple,
     init_params,
@@ -30,34 +31,43 @@ class TestInit:
 
     def test_four_distinct_cells_for_two_layer_model(self):
         params = init_params(10, 4, 8, 2, seed=0)
-        cells = params.entity_cells + params.relation_cells
+        cells = active_cells(params, 0) + active_cells(params, 1)
         assert len(cells) == 4
-        assert len({id(c) for c in cells}) == 4
+        assert len({id(c.w_x) for c in cells}) == 4
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not np.array_equal(cells[i].w_x, cells[j].w_x)
 
     def test_parameter_count_closed_form(self):
-        num_entities, num_relations, k, layers = 10, 4, 64, 1
-        params = init_params(num_entities, num_relations, k, layers, seed=0)
-        total = sum(t.size for _, t in named_tensors(params))
+        num_entities, num_relations, k, layers = 10, 4, 64, 2
         per_cell = 4 * k * k + 4 * k * k + 4 * k
-        expected = (
-            num_entities * k
-            + num_relations * k
-            + 3 * layers * per_cell
-            + num_entities * k + num_entities
-            + num_relations * k + num_relations
-        )
-        assert total == expected
+        for arch, stacks in (("dskg", 2), ("shared", 1)):
+            params = init_params(num_entities, num_relations, k, layers, arch=arch, seed=0)
+            total = sum(t.size for _, t in named_tensors(params))
+            expected = (
+                num_entities * k
+                + num_relations * k
+                + stacks * layers * per_cell
+                + num_entities * k + num_entities
+                + num_relations * k + num_relations
+            )
+            assert total == expected
+
+    @pytest.mark.parametrize("arch", ["dskg", "shared"])
+    def test_stored_stacks_match_architecture(self, arch):
+        params = init_params(5, 4, 6, 2, arch=arch, seed=0)
+        stacks = {name.split(".")[0] for name, _ in named_tensors(params) if "." in name}
+        expected = {"entity_cells", "relation_cells"} if arch == "dskg" else {"shared_cells"}
+        assert stacks == expected
 
     def test_forget_bias_one_other_biases_zero(self):
-        params = init_params(5, 4, 6, 1, seed=0)
         k = 6
-        for cell in params.entity_cells + params.relation_cells + params.shared_cells:
-            assert np.all(cell.b[k : 2 * k] == 1.0)
-            assert np.all(cell.b[:k] == 0.0)
-            assert np.all(cell.b[2 * k :] == 0.0)
+        for arch in ("dskg", "shared"):
+            params = init_params(5, 4, k, 1, arch=arch, seed=0)
+            for cell in active_cells(params, 0) + active_cells(params, 1):
+                assert np.all(cell.b[k : 2 * k] == 1.0)
+                assert np.all(cell.b[:k] == 0.0)
+                assert np.all(cell.b[2 * k :] == 0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -128,18 +138,16 @@ class TestForward:
         s, r = 2, 1
         h_s, h_r = forward_triple(params, s, r)
         zero = np.zeros(2)
-        oh1, oc1 = scalar_lstm_oracle(params.entity_cells[0], params.entity_embed[s], zero, zero)
-        oh2, _ = scalar_lstm_oracle(params.relation_cells[0], params.relation_embed[r], oh1, oc1)
+        cell1, cell2 = active_cells(params, 0)[0], active_cells(params, 1)[0]
+        oh1, oc1 = scalar_lstm_oracle(cell1, params.entity_embed[s], zero, zero)
+        oh2, _ = scalar_lstm_oracle(cell2, params.relation_embed[r], oh1, oc1)
         assert np.allclose(h_s, oh1, atol=1e-12)
         assert np.allclose(h_r, oh2, atol=1e-12)
 
     def test_shared_equals_dskg_when_cells_copied(self):
-        params = make_params(num_layers=2, arch="dskg")
-        params.relation_cells = [c.copy() for c in params.entity_cells]
-        params.shared_cells = [c.copy() for c in params.entity_cells]
+        params, shared = equalized_pair(make_params(num_layers=2, arch="dskg"))
+        assert shared.arch == model.ARCH_SHARED
         h_s_a, h_r_a = forward_triple(params, 3, 2)
-        shared = params.copy()
-        shared.arch = model.ARCH_SHARED
         h_s_b, h_r_b = forward_triple(shared, 3, 2)
         assert np.array_equal(h_s_a, h_s_b)
         assert np.array_equal(h_r_a, h_r_b)
@@ -238,6 +246,30 @@ class TestCheckpoint:
         path.write_bytes(b"WRONGMAG" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "ck.dskg"
+        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[len(model.CHECKPOINT_MAGIC)] = 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.dskg"
+        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
+        before = path.read_bytes()
+
+        def failing_tensors(params):
+            yield from list(params.tensors.items())[:2]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model, "named_tensors", failing_tensors)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(init_params(7, 4, 6, 1, seed=1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.dskg"]
 
     def test_truncated(self, tmp_path):
         params = init_params(7, 4, 6, 1, seed=0)

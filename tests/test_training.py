@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_params, scalar_lstm_oracle
+from conftest import equalized_pair, make_params, scalar_lstm_oracle
 from dskg import data
 from dskg.data import RawTriple, index_dataset
-from dskg.model import init_params, named_tensors
+from dskg.model import active_cells, init_params, named_tensors, tensor_shapes
 from dskg.training import (
     TrainConfig,
     adam_init,
@@ -68,8 +68,9 @@ class TestTripleLoss:
     def composed_oracle(self, params, s, r, o, cand_r, cand_e, relation_on):
         """Pure-python forward + dot products + log-sum-exp."""
         zero = np.zeros(params.embed_dim)
-        h_s, c_s = scalar_lstm_oracle(params.entity_cells[0], params.entity_embed[s], zero, zero)
-        h_r, _ = scalar_lstm_oracle(params.relation_cells[0], params.relation_embed[r], h_s, c_s)
+        cell1, cell2 = active_cells(params, 0)[0], active_cells(params, 1)[0]
+        h_s, c_s = scalar_lstm_oracle(cell1, params.entity_embed[s], zero, zero)
+        h_r, _ = scalar_lstm_oracle(cell2, params.relation_embed[r], h_s, c_s)
 
         def term(weight, bias, hidden, cand):
             scores = [
@@ -166,22 +167,34 @@ class TestBackward:
         )
         assert worst < 1e-4
 
-    def test_dead_branch_gradients_zero(self):
+    def test_grads_hold_exactly_the_architecture_tensors(self):
         batch = np.array([[0, 1, 2], [3, 0, 1]])
         cand_e = np.array([[2, 0, 4], [1, 3, 5]])
         cand_r = np.array([[1, 0, 3], [0, 2, 1]])
+        for arch, variant in (("dskg", "dskg"), ("shared", "shared-2")):
+            params = make_params(num_layers=2, arch=arch)
+            grads = backward(params, batch, small_config(num_layers=2, arch=variant),
+                             entity_candidates=cand_e, relation_candidates=cand_r)
+            shapes = tensor_shapes(6, 4, 4, 2, arch)
+            assert [(n, t.shape) for n, t in named_tensors(grads)] == list(shapes.items())
+            assert all(np.all(np.isfinite(t)) for _, t in named_tensors(grads))
+            assert list(adam_init(params).first) == list(shapes)
 
-        params = make_params(num_layers=2)
-        grads = backward(params, batch, small_config(num_layers=2),
-                         entity_candidates=cand_e, relation_candidates=cand_r)
-        for cell in grads.shared_cells:
-            assert np.all(cell.w_x == 0) and np.all(cell.w_h == 0) and np.all(cell.b == 0)
-
-        params = make_params(num_layers=2, arch="shared")
-        grads = backward(params, batch, small_config(num_layers=2, arch="shared-2"),
-                         entity_candidates=cand_e, relation_candidates=cand_r)
-        for cell in grads.entity_cells + grads.relation_cells:
-            assert np.all(cell.w_x == 0) and np.all(cell.w_h == 0) and np.all(cell.b == 0)
+    def test_shared_stack_accumulates_both_timesteps(self):
+        batch = np.array([[0, 1, 2], [3, 0, 1]])
+        cand_e = np.array([[2, 0, 4], [1, 3, 5]])
+        cand_r = np.array([[1, 0, 3], [0, 2, 1]])
+        dskg, shared = equalized_pair(make_params(num_layers=2))
+        g_dskg = backward(dskg, batch, small_config(num_layers=2),
+                          entity_candidates=cand_e, relation_candidates=cand_r)
+        g_shared = backward(shared, batch, small_config(num_layers=2, arch="shared-2"),
+                            entity_candidates=cand_e, relation_candidates=cand_r)
+        for layer in range(2):
+            for field in ("w_x", "w_h", "b"):
+                both = (g_dskg.tensors[f"entity_cells.{layer}.{field}"]
+                        + g_dskg.tensors[f"relation_cells.{layer}.{field}"])
+                assert np.allclose(g_shared.tensors[f"shared_cells.{layer}.{field}"], both,
+                                   rtol=1e-12, atol=0)
 
     def test_saturated_softmax_kills_gradient(self):
         params = make_params(num_entities=6, num_relations=4)
@@ -359,6 +372,10 @@ class TestConfigValidation:
             dict(arch="deep"),
             dict(precision="float16"),
             dict(patience=0),
+            dict(eval_interval=0),
+            dict(embed_dim=0),
+            dict(num_layers=0),
+            dict(num_layers=5),
         ],
     )
     def test_bad_values(self, kwargs):
