@@ -6,6 +6,12 @@ each surviving pair with every object entity, scoring a triple by
 p(r | s) * p(o | s, r), and keeps the best ``stage2_window`` triples, sorted
 by descending score. Ordering is a total order (score descending, then ids
 ascending) so results do not depend on chunking or worker count.
+
+Both stages keep their best candidates in one bounded pool of int64 keys
+whose ascending order is ascending id order (``e * R + r`` for a pair,
+``(s * R + r) * N + o`` for a triple), selected by a partition on score and
+sorted only once, at the end. The precision curve tests its outputs against
+the dataset's sorted fact keys by binary search.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IndexedDataset, Vocabulary, _encode_triples
+from .data import IndexedDataset, Vocabulary, _encode_pairs, _encode_triples, check_key_range
 from .evaluation import entity_scores_batch, map_chunks, relation_scores_batch
 from .model import ModelParams
 
@@ -43,40 +49,53 @@ class ScoredTriples:
 
 
 class _TopK:
-    """Bounded best-k pool under (score desc, columns asc) total order."""
+    """Bounded best-``limit`` pool of int64 keys under (score desc, key asc) order.
 
-    def __init__(self, limit: int, id_columns: int):
+    Each candidate is one int64 key built by ``_encode_pairs``, so ascending
+    key order is ascending id order: a stage-1 key is ``e * R + r`` and a
+    stage-2 key is ``(s * R + r) * N + o``, the ``_encode_triples`` key. A
+    score block is filtered against the cutoff before any key is built, and
+    the pool is cut back to ``limit`` by a partition on score plus the
+    smallest keys of the tie band at the cutoff; only ``finish`` sorts.
+    """
+
+    def __init__(self, limit: int):
         self.limit = limit
-        self.id_columns = id_columns
-        self.ids = np.empty((0, id_columns), dtype=np.int64)
+        self.keys = np.empty(0, dtype=np.int64)
         self.scores = np.empty(0, dtype=np.float64)
         self.cutoff = -np.inf
 
-    def _order(self, ids, scores):
-        keys = tuple(ids[:, col] for col in reversed(range(self.id_columns)))
-        return np.lexsort(keys + (-scores,))
-
-    def offer(self, ids: np.ndarray, scores: np.ndarray):
-        if self.cutoff > -np.inf:
-            keep = scores >= self.cutoff  # ties at the cutoff may still win on ids
-            ids, scores = ids[keep], scores[keep]
-        if not len(scores):
+    def offer(self, row_keys: np.ndarray, scores: np.ndarray):
+        """Offer a (rows, width) block; entry (i, j) has key ``row_keys[i] * width + j``."""
+        width = scores.shape[1]
+        flat = scores.reshape(-1)
+        index = np.flatnonzero(flat >= self.cutoff)  # ties at the cutoff may still win on keys
+        if not len(index):
             return
-        self.ids = np.concatenate([self.ids, ids])
-        self.scores = np.concatenate([self.scores, scores])
+        rows, cols = np.divmod(index, width)
+        self.keys = np.concatenate([self.keys, _encode_pairs(row_keys[rows], cols, width)])
+        self.scores = np.concatenate([self.scores, flat[index]])
         if len(self.scores) >= 3 * self.limit:
             self._compress()
 
     def _compress(self):
-        order = self._order(self.ids, self.scores)[: self.limit]
-        self.ids = self.ids[order]
-        self.scores = self.scores[order]
-        if len(self.scores) == self.limit:
-            self.cutoff = self.scores[-1]
+        if len(self.scores) < self.limit:
+            return
+        kth = len(self.scores) - self.limit
+        self.cutoff = np.partition(self.scores, kth)[kth]  # the limit-th best score
+        above = np.flatnonzero(self.scores > self.cutoff)
+        band = np.flatnonzero(self.scores == self.cutoff)
+        need = self.limit - len(above)  # >= 1, since the cutoff itself is in the band
+        band = band[np.argpartition(self.keys[band], need - 1)[:need]]
+        keep = np.concatenate([above, band])
+        self.keys = self.keys[keep]
+        self.scores = self.scores[keep]
 
     def finish(self):
+        """Keys and scores of the pool, sorted by score descending then key ascending."""
         self._compress()
-        return self.ids, self.scores
+        order = np.lexsort((self.keys, -self.scores))
+        return self.keys[order], self.scores[order]
 
 
 def stage1_pairs(
@@ -87,21 +106,18 @@ def stage1_pairs(
     Returns pair ids in a (n, 2) array with scores, ordered by score
     descending then (entity, relation) ascending.
     """
-    num_entities = params.num_entities
     num_relations = params.num_relations
-    pool = _TopK(config.stage1_window, id_columns=2)
+    check_key_range(params.num_entities, num_relations)
+    pool = _TopK(config.stage1_window)
 
     def score_span(span):
-        lo, hi = span
-        probs = relation_scores_batch(params, np.arange(lo, hi))
-        ents = np.repeat(np.arange(lo, hi, dtype=np.int64), num_relations)
-        rels = np.tile(np.arange(num_relations, dtype=np.int64), hi - lo)
-        return np.column_stack([ents, rels]), probs.reshape(-1)
+        entities = np.arange(*span, dtype=np.int64)
+        return entities, relation_scores_batch(params, entities)
 
-    for ids, scores in map_chunks(score_span, num_entities, entity_chunk, workers):
-        pool.offer(ids, scores)
-    ids, scores = pool.finish()
-    return ScoredTriples(triples=ids, scores=scores)
+    for entities, probs in map_chunks(score_span, params.num_entities, entity_chunk, workers):
+        pool.offer(entities, probs)
+    keys, scores = pool.finish()
+    return ScoredTriples(triples=np.column_stack(np.divmod(keys, num_relations)), scores=scores)
 
 
 def stage2_triples(
@@ -117,27 +133,26 @@ def stage2_triples(
     Triple score = stage-1 pair score x p(object | entity, relation).
     """
     num_entities = params.num_entities
+    num_relations = params.num_relations
+    check_key_range(num_entities, num_relations)
     if pair_chunk is None:
         pair_chunk = max(1, 2_000_000 // max(num_entities, 1))
-    pool = _TopK(config.stage2_window, id_columns=3)
+    pool = _TopK(config.stage2_window)
     pair_ids, pair_scores = pairs.triples, pairs.scores
+    pair_keys = _encode_pairs(pair_ids[:, 0], pair_ids[:, 1], num_relations)
 
     def score_span(span):
         lo, hi = span
-        subjects = pair_ids[lo:hi, 0]
-        relations = pair_ids[lo:hi, 1]
-        probs = entity_scores_batch(params, subjects, relations)
-        scores = (pair_scores[lo:hi, None] * probs).reshape(-1)
-        ids = np.empty((len(scores), 3), dtype=np.int64)
-        ids[:, 0] = np.repeat(subjects, num_entities)
-        ids[:, 1] = np.repeat(relations, num_entities)
-        ids[:, 2] = np.tile(np.arange(num_entities, dtype=np.int64), hi - lo)
-        return ids, scores
+        probs = entity_scores_batch(params, pair_ids[lo:hi, 0], pair_ids[lo:hi, 1])
+        probs *= pair_scores[lo:hi, None]
+        return pair_keys[lo:hi], probs
 
-    for ids, scores in map_chunks(score_span, len(pair_ids), pair_chunk, workers):
-        pool.offer(ids, scores)
-    ids, scores = pool.finish()
-    return ScoredTriples(triples=ids, scores=scores)
+    for keys, scores in map_chunks(score_span, len(pair_ids), pair_chunk, workers):
+        pool.offer(keys, scores)
+    keys, scores = pool.finish()
+    subject_relation, objects = np.divmod(keys, num_entities)
+    triples = np.column_stack([*np.divmod(subject_relation, num_relations), objects])
+    return ScoredTriples(triples=triples, scores=scores)
 
 
 def canonicalize_triples(triples: np.ndarray, vocab: Vocabulary) -> np.ndarray:
@@ -188,8 +203,8 @@ def precision_curve(
     kept = np.sort(first)  # rank order among deduplicated outputs
     keys = keys[kept]
 
-    correct = np.isin(keys, dataset.correct_keys)
-    predictable = np.isin(keys, dataset.predict_keys)
+    correct = _in_sorted(keys, dataset.correct_keys)
+    predictable = _in_sorted(keys, dataset.predict_keys)
     cum_corr = np.cumsum(correct)
     cum_pred = np.cumsum(predictable)
 
@@ -223,6 +238,14 @@ def precision_curve(
             )
         )
     return curve
+
+
+def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """``np.isin(values, sorted_keys)`` by binary search; ``sorted_keys`` ascending."""
+    pos = np.searchsorted(sorted_keys, values)
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == values[found]
+    return found
 
 
 def write_predictions(path, output: ScoredTriples, vocab: Vocabulary):

@@ -230,6 +230,19 @@ def _encode_triples(triples: np.ndarray, num_relations: int, num_entities: int) 
     return (t[:, 0] * num_relations + t[:, 1]) * num_entities + t[:, 2]
 
 
+def check_key_range(num_entities: int, num_relations: int):
+    """Raise ValueError unless every ``_encode_triples`` key fits in int64.
+
+    The largest key is N * R * N - 1, for N entities and R relations.
+    """
+    largest = int(num_entities) * int(num_relations) * int(num_entities) - 1
+    if largest > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"{num_entities} entities x {num_relations} relations: "
+            "triple keys do not fit in int64"
+        )
+
+
 @dataclass
 class IndexedDataset:
     """Integer-encoded splits plus the ranking/membership indexes.

@@ -10,6 +10,7 @@ score recomputations are exactly reproducible.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -188,14 +189,22 @@ def map_chunks(fn, total: int, chunk: int, workers: int):
     """Yield ``fn((lo, hi))`` for consecutive spans covering ``range(total)``, in order.
 
     Lazy with one worker, so a consumer can fold each result in before the
-    next span is scored; with more workers the spans run on a thread pool.
+    next span is scored. With more workers the spans run on a thread pool,
+    at most ``2 * workers`` of them submitted and not yet consumed, so
+    finished results cannot pile up behind a slow consumer.
     """
     spans = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
     if workers <= 1 or len(spans) <= 1:
         yield from map(fn, spans)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, spans)
+        pending = deque()
+        for span in spans:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, span))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _both_direction_queries(dataset: IndexedDataset, split: str):

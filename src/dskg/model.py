@@ -36,6 +36,8 @@ _STEP_STACKS = {
 
 CHECKPOINT_MAGIC = b"DSKGCKPT"
 CHECKPOINT_VERSION = 2
+# After the magic: version, entities, relations, embed dim, layers, architecture code.
+_HEADER = struct.Struct("<B4IB")
 
 MAX_LAYERS = 4
 
@@ -388,10 +390,9 @@ def save_checkpoint(params: ModelParams, path):
     try:
         with open(tmp, "wb") as buf:
             buf.write(CHECKPOINT_MAGIC)
-            buf.write(struct.pack("<B", CHECKPOINT_VERSION))
             buf.write(
-                struct.pack(
-                    "<4IB",
+                _HEADER.pack(
+                    CHECKPOINT_VERSION,
                     params.num_entities,
                     params.num_relations,
                     params.embed_dim,
@@ -412,12 +413,16 @@ def load_checkpoint(path, dtype=np.float32) -> ModelParams:
         magic = buf.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        (version,) = struct.unpack("<B", buf.read(1))
+        header = buf.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated checkpoint header")
+        version, num_entities, num_relations, embed_dim, num_layers, arch_code = (
+            _HEADER.unpack(header)
+        )
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        num_entities, num_relations, embed_dim, num_layers, arch_code = struct.unpack(
-            "<4IB", buf.read(17)
-        )
+        if arch_code not in _ARCH_NAMES:
+            raise ValueError(f"{path}: unknown architecture code {arch_code}")
         arch = _ARCH_NAMES[arch_code]
         tensors = {}
         for name, shape in tensor_shapes(

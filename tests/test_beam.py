@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_params
 from dskg import beam
@@ -11,7 +14,7 @@ from dskg.beam import (
     stage1_pairs,
     stage2_triples,
 )
-from dskg.data import RawTriple, index_dataset
+from dskg.data import RawTriple, _encode_triples, check_key_range, index_dataset
 from dskg.evaluation import entity_scores, relation_scores
 
 
@@ -88,6 +91,86 @@ class TestStage1:
                              config, pair_chunk=3, workers=2)
         assert np.array_equal(one.triples, two.triples)
         assert np.array_equal(one.scores, two.scores)
+
+
+def tied_params(relation_bias, entity_bias):
+    """Zero output weights: every subject gets p(r|s) = softmax(relation_bias)
+    and p(o|s,r) = softmax(entity_bias), so equal biases tie scores exactly."""
+    params = toy_params(num_entities=len(entity_bias), num_relations=len(relation_bias))
+    params.tensors["relation_out_w"][...] = 0.0
+    params.tensors["entity_out_w"][...] = 0.0
+    params.tensors["relation_out_b"][...] = relation_bias
+    params.tensors["entity_out_b"][...] = entity_bias
+    return params
+
+
+class TestTieBands:
+    # all-zero biases tie every score; two bias levels put a tie band on
+    # each side of the windows' cutoffs
+    @pytest.mark.parametrize("biases", [
+        ([0.0] * 4, [0.0] * 9),
+        ([1.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 0.0, 2.0, 0.0, 2.0, 0.0, 0.0]),
+    ], ids=["uniform", "two_levels"])
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3", "default"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_windows_cutting_tie_bands_match_oracle(self, biases, chunk, workers):
+        params = tied_params(*biases)
+        config = BeamConfig(stage1_window=5, stage2_window=7)
+        pair_rows = oracle_pairs(params)
+        assert pair_rows[4][2] == pair_rows[5][2]  # stage 1 cuts a tie band
+        stage1_kwargs = {} if chunk is None else {"entity_chunk": chunk}
+        pairs = stage1_pairs(params, config, workers=workers, **stage1_kwargs)
+        assert [tuple(row) for row in pairs.triples] == [(e, r) for e, r, _ in pair_rows[:5]]
+        assert pairs.scores.tolist() == [score for *_, score in pair_rows[:5]]
+
+        triple_rows = oracle_triples(params, pair_rows[:5])
+        assert triple_rows[6][3] == triple_rows[7][3]  # and so does stage 2
+        out = stage2_triples(params, pairs, config, pair_chunk=chunk, workers=workers)
+        assert [tuple(row) for row in out.triples] == [row[:3] for row in triple_rows[:7]]
+        assert out.scores.tolist() == [score for *_, score in triple_rows[:7]]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pool_matches_sorted_oracle(self, data):
+        # blocks arrive in any key order, as stage-2 pairs do, and take four
+        # score levels so tie bands straddle every cutoff
+        rows = data.draw(st.integers(1, 12))
+        width = data.draw(st.integers(1, 4))
+        row_keys = np.array(data.draw(st.permutations(range(rows))), dtype=np.int64)
+        levels = st.sampled_from([0.125, 0.25, 0.5, 1.0])
+        scores = np.array(
+            data.draw(st.lists(levels, min_size=rows * width, max_size=rows * width))
+        ).reshape(rows, width)
+        limit = data.draw(st.integers(1, rows * width))
+        block = data.draw(st.integers(1, rows))
+        pool = beam._TopK(limit)
+        for lo in range(0, rows, block):
+            pool.offer(row_keys[lo : lo + block], scores[lo : lo + block])
+        keys, kept = pool.finish()
+        expected = sorted(
+            (-scores[i, j], int(row_keys[i]) * width + j)
+            for i in range(rows)
+            for j in range(width)
+        )[:limit]
+        assert keys.tolist() == [key for _, key in expected]
+        assert kept.tolist() == [-score for score, _ in expected]
+
+
+class TestKeyRange:
+    def test_guard_checks_sizes_only(self):
+        check_key_range(14_541, 474)
+        check_key_range(2**21, 2**21)  # largest key 2**63 - 1 still fits
+        with pytest.raises(ValueError, match="int64"):
+            check_key_range(2**21, 2**21 + 1)
+
+    def test_beam_stages_refuse_before_scoring(self):
+        huge = SimpleNamespace(num_entities=2**32, num_relations=474)
+        config = BeamConfig(stage1_window=1, stage2_window=1)
+        with pytest.raises(ValueError, match="int64"):
+            stage1_pairs(huge, config)
+        pairs = ScoredTriples(np.zeros((1, 2), dtype=np.int64), np.ones(1))
+        with pytest.raises(ValueError, match="int64"):
+            stage2_triples(huge, pairs, config)
 
 
 class TestStage2:
@@ -268,6 +351,62 @@ class TestPrecisionCurve:
             assert point.n_corr >= point.n_pred
             if point.precision is not None:
                 assert 0.0 <= point.precision <= 1.0
+
+
+def oracle_curve(triples, dataset, canonicalize):
+    """(n, n_corr, n_pred, n_error) at every n, from Python sets of known facts."""
+    vocab = dataset.vocab
+
+    def both_orientations(split):
+        rows = {tuple(map(int, t)) for t in split}
+        return rows | {(o, vocab.reverse(r), s) for s, r, o in rows}
+
+    predict = both_orientations(dataset.valid) | both_orientations(dataset.test)
+    correct = both_orientations(dataset.train) | predict
+    if canonicalize:
+        triples = canonicalize_triples(triples, vocab)
+    seen, points, n_corr, n_pred = set(), [], 0, 0
+    for triple in map(tuple, triples.tolist()):
+        if triple in seen:
+            continue
+        seen.add(triple)
+        n_corr += triple in correct
+        n_pred += triple in predict
+        points.append((len(seen), n_corr, n_pred, len(seen) - n_corr))
+    return points
+
+
+class TestCurveMembership:
+    """Binary-search membership against a set oracle at the key range's edges."""
+
+    def every_triple(self, dataset):
+        n, r = dataset.vocab.num_entities, dataset.vocab.num_relations
+        grid = np.stack(np.meshgrid(np.arange(n), np.arange(r), np.arange(n), indexing="ij"))
+        triples = grid.reshape(3, -1).T.astype(np.int64)
+        return ScoredTriples(triples=triples, scores=np.linspace(1.0, 0.1, num=len(triples)))
+
+    def check(self, output, dataset, canonicalize):
+        curve = precision_curve(
+            output, dataset, canonicalize=canonicalize, max_points=len(output)
+        )
+        expected = oracle_curve(output.triples, dataset, canonicalize)
+        assert [(p.n, p.n_corr, p.n_pred, p.n_error) for p in curve] == expected
+
+    @pytest.mark.parametrize("canonicalize", [True, False])
+    def test_keys_below_and_above_known_range(self, canonicalize):
+        ds = chain_dataset()
+        output = self.every_triple(ds)
+        keys = _encode_triples(output.triples, ds.vocab.num_relations, ds.vocab.num_entities)
+        assert keys.min() < ds.correct_keys.min() and keys.max() > ds.correct_keys.max()
+        assert keys.min() < ds.predict_keys.min() and keys.max() > ds.predict_keys.max()
+        self.check(output, ds, canonicalize)
+
+    @pytest.mark.parametrize("canonicalize", [True, False])
+    def test_empty_held_out_splits(self, canonicalize):
+        train = [RawTriple("a", "p", "b"), RawTriple("b", "p", "c"), RawTriple("c", "q", "a")]
+        ds = index_dataset(train, [], [])
+        assert len(ds.predict_keys) == 0
+        self.check(self.every_triple(ds), ds, canonicalize)
 
 
 class TestWriters:

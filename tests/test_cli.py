@@ -1,6 +1,6 @@
 import pytest
 
-from dskg import cli, data
+from dskg import cli, data, model
 from dskg.config import parse_config_file, resolve_options, write_resolved
 
 
@@ -218,6 +218,26 @@ class TestEval:
         )
         assert code == 1
         assert "mismatch" in err
+
+    @pytest.mark.parametrize("damage", ["short_header", "unknown_arch"])
+    def test_damaged_checkpoint_is_one_line_value_error(self, trained, tmp_path, capsys, damage):
+        dataset, checkpoint = trained
+        blob = bytearray(checkpoint.read_bytes())
+        if damage == "short_header":
+            blob = blob[:20]
+        else:
+            blob[len(model.CHECKPOINT_MAGIC) + model._HEADER.size - 1] = 7
+        bad = tmp_path / "bad.dskg"
+        bad.write_bytes(bytes(blob))
+        code, _, err = run_cli(
+            capsys, "eval", "--checkpoint", str(bad), "--data", str(dataset),
+            "--out", str(tmp_path / "r"),
+        )
+        assert code == 1
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error\tValueError\t")
+        assert str(bad) in lines[0]
 
 
 class TestPredictTriples:

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +146,29 @@ class TestScoreVectors:
         one = relation_prob_matrix(params, chunk=3, workers=1)
         two = relation_prob_matrix(params, chunk=3, workers=2)
         assert np.array_equal(one, two)
+
+
+class TestMapChunks:
+    def test_in_flight_spans_bounded_behind_slow_consumer(self):
+        workers = 2
+        lock = threading.Lock()
+        counts = {"computed": 0, "consumed": 0, "most_unconsumed": 0}
+
+        def fn(span):
+            with lock:
+                counts["computed"] += 1
+                unconsumed = counts["computed"] - counts["consumed"]
+                counts["most_unconsumed"] = max(counts["most_unconsumed"], unconsumed)
+            return span
+
+        seen = []
+        for span in evaluation.map_chunks(fn, 40, 1, workers):
+            time.sleep(0.005)
+            seen.append(span)
+            with lock:
+                counts["consumed"] += 1
+        assert seen == [(lo, lo + 1) for lo in range(40)]
+        assert counts["most_unconsumed"] <= 2 * workers
 
 
 class TestFilteredRank:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,22 @@ class TestCheckpoint:
         blob[len(model.CHECKPOINT_MAGIC)] = 1
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_short_header_names_file(self, tmp_path):
+        path = tmp_path / "short.dskg"
+        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_unknown_architecture_byte_names_file(self, tmp_path):
+        path = tmp_path / "arch.dskg"
+        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[len(model.CHECKPOINT_MAGIC) + model._HEADER.size - 1] = 7
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
