@@ -191,12 +191,18 @@ def map_chunks(fn, total: int, chunk: int, workers: int):
     Lazy with one worker, so a consumer can fold each result in before the
     next span is scored. With more workers the spans run on a thread pool,
     at most ``2 * workers`` of them submitted and not yet consumed, so
-    finished results cannot pile up behind a slow consumer.
+    finished results cannot pile up behind a slow consumer. ``workers < 1``
+    raises ``ValueError`` at the call, before any span is scored.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     spans = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
-    if workers <= 1 or len(spans) <= 1:
-        yield from map(fn, spans)
-        return
+    if workers == 1 or len(spans) <= 1:
+        return map(fn, spans)
+    return _map_threaded(fn, spans, workers)
+
+
+def _map_threaded(fn, spans, workers: int):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for span in spans:

@@ -9,6 +9,12 @@ shared variant both steps reuse one stack ("shared": ``shared_cells``). The
 top-layer hidden state after step 1 scores relations, the one after step 2
 scores entities, each through its own output projection.
 
+The zero state of step 1 is passed as ``None``, and :func:`lstm_forward` and
+:func:`lstm_backward` skip the matmuls against it. Its recurrent weights
+therefore get no gradient: in "dskg" the ``entity_cells.*.w_h`` tensors keep
+their initial values through training (they are stored all the same, so the
+checkpoint layout is the one of every other stack).
+
 Checkpoint layout (version 2): magic ``DSKGCKPT``, version byte, header
 (num_entities, num_relations, embed_dim, num_layers as little-endian uint32,
 architecture byte), then every tensor from :func:`named_tensors` in order as
@@ -206,38 +212,66 @@ def active_cells(params: ModelParams, timestep: int) -> list[CellParams]:
     ]
 
 
-def lstm_forward(cell: CellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """Batched LSTM step; returns (h, c, cache) with cache for the backward pass."""
+def lstm_forward(
+    cell: CellParams, x: np.ndarray, h_prev: np.ndarray | None, c_prev: np.ndarray | None
+):
+    """Batched LSTM step; returns (h, c, cache) with cache for the backward pass.
+
+    ``h_prev = c_prev = None`` means a zero state: the recurrent matmul and
+    the forget-gate product are skipped, which gives the same bits as
+    passing zeros.
+    """
     hidden = cell.hidden_size
     if x.shape[-1] != cell.w_x.shape[1]:
         raise ValueError(
             f"input size {x.shape[-1]} does not match cell input {cell.w_x.shape[1]}"
         )
-    pre = x @ cell.w_x.T + h_prev @ cell.w_h.T + cell.b
+    pre = x @ cell.w_x.T
+    if h_prev is not None:
+        pre += h_prev @ cell.w_h.T
+    pre += cell.b
     gate_in = _sigmoid(pre[:, :hidden])
-    gate_forget = _sigmoid(pre[:, hidden : 2 * hidden])
     candidate = np.tanh(pre[:, 2 * hidden : 3 * hidden])
     gate_out = _sigmoid(pre[:, 3 * hidden :])
-    c = gate_forget * c_prev + gate_in * candidate
+    if c_prev is None:
+        gate_forget = None  # scales only the zero state, here and in the backward pass
+        c = gate_in * candidate
+    else:
+        gate_forget = _sigmoid(pre[:, hidden : 2 * hidden])
+        c = gate_forget * c_prev + gate_in * candidate
     tanh_c = np.tanh(c)
     h = gate_out * tanh_c
     cache = (x, h_prev, c_prev, gate_in, gate_forget, candidate, gate_out, tanh_c)
     return h, c, cache
 
 
-def lstm_backward(cell: CellParams, cache, dh: np.ndarray, dc: np.ndarray):
-    """Gradients of one LSTM step given upstream dh and dc."""
+def lstm_backward(cell: CellParams, cache, dh: np.ndarray, dc: np.ndarray | None):
+    """Gradients of one LSTM step given upstream dh and dc.
+
+    Returns (dx, dh_prev, dc_prev, grad_w_x, grad_w_h, grad_b). ``dc=None``
+    means no gradient reaches the cell state from above. For a step run from
+    the zero state (``None`` in the cache) ``dh_prev``, ``dc_prev`` and
+    ``grad_w_h`` are None: the state is a constant and ``w_h`` multiplied
+    only zeros.
+    """
     x, h_prev, c_prev, gate_in, gate_forget, candidate, gate_out, tanh_c = cache
-    dc_total = dc + dh * gate_out * (1.0 - tanh_c * tanh_c)
+    dc_total = dh * gate_out * (1.0 - tanh_c * tanh_c)
+    if dc is not None:
+        dc_total += dc
     d_pre_in = (dc_total * candidate) * gate_in * (1.0 - gate_in)
-    d_pre_forget = (dc_total * c_prev) * gate_forget * (1.0 - gate_forget)
+    if c_prev is None:
+        d_pre_forget = np.zeros_like(dc_total)
+    else:
+        d_pre_forget = (dc_total * c_prev) * gate_forget * (1.0 - gate_forget)
     d_pre_cand = (dc_total * gate_in) * (1.0 - candidate * candidate)
     d_pre_out = (dh * tanh_c) * gate_out * (1.0 - gate_out)
     d_pre = np.concatenate([d_pre_in, d_pre_forget, d_pre_cand, d_pre_out], axis=1)
     grad_w_x = d_pre.T @ x
-    grad_w_h = d_pre.T @ h_prev
     grad_b = d_pre.sum(axis=0)
     dx = d_pre @ cell.w_x
+    if h_prev is None:
+        return dx, None, None, grad_w_x, None, grad_b
+    grad_w_h = d_pre.T @ h_prev
     dh_prev = d_pre @ cell.w_h
     dc_prev = dc_total * gate_forget
     return dx, dh_prev, dc_prev, grad_w_x, grad_w_h, grad_b
@@ -283,16 +317,16 @@ def _run_stack(cells: list[CellParams], layer_in, states, dropout_mask):
 def entity_step(params: ModelParams, s_ids, dropout_mask=None):
     """Step 1: entity embeddings up the step-1 stack from a zero state.
 
-    Returns (h_s, caches, states, masks) as :func:`_run_stack` does.
+    Each layer's incoming state is ``(None, None)``, the zero state. Returns
+    (h_s, caches, states, masks) as :func:`_run_stack` does.
     """
     s_ids = np.atleast_1d(np.asarray(s_ids))
     if s_ids.min() < 0 or s_ids.max() >= params.num_entities:
         raise ValueError("entity id out of range")
-    zeros = np.zeros((len(s_ids), params.embed_dim), dtype=params.dtype)
     return _run_stack(
         active_cells(params, 0),
         params.entity_embed[s_ids],
-        [(zeros, zeros)] * params.num_layers,
+        [(None, None)] * params.num_layers,
         dropout_mask,
     )
 

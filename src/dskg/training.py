@@ -141,6 +141,9 @@ def _loss_term_shared(weight, bias, h, true_ids, neg_ids, log_q):
         s_true = s_true - log_q[true_ids]
         s_neg = s_neg - log_q[neg_ids]
     scores = np.concatenate([s_true[:, None], s_neg], axis=1).astype(np.float64)
+    # Checked before the collision mask writes its -inf entries.
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("sampled_softmax_loss requires finite scores")
     collide = neg_ids[None, :] == np.asarray(true_ids)[:, None]
     scores[:, 1:][collide] = -np.inf
     top = scores.max(axis=1, keepdims=True)
@@ -187,7 +190,7 @@ def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams
         mask = cache.masks2[layer]
         dh = d_out if mask is None else d_out * mask
         dx, dh_prev, dc_prev, g_wx, g_wh, g_b = lstm_backward(
-            cells2[layer], cache.step2[layer], dh, np.zeros_like(dh)
+            cells2[layer], cache.step2[layer], dh, None
         )
         gcells2[layer].w_x += g_wx
         gcells2[layer].w_h += g_wh
@@ -201,11 +204,11 @@ def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams
         mask = cache.masks1[layer]
         dh = d_out if mask is None else d_out * mask
         dh_carry, dc_carry = carried[layer]
-        dx, _, _, g_wx, g_wh, g_b = lstm_backward(
+        # Step 1 runs from the zero state: w_h gets no gradient here.
+        dx, _, _, g_wx, _, g_b = lstm_backward(
             cells1[layer], cache.step1[layer], dh + dh_carry, dc_carry
         )
         gcells1[layer].w_x += g_wx
-        gcells1[layer].w_h += g_wh
         gcells1[layer].b += g_b
         d_out = dx
     np.add.at(grads.entity_embed, cache.s_ids, d_out)
@@ -371,19 +374,51 @@ def adam_init(params: ModelParams, beta1: float = 0.9, beta2: float = 0.999, eps
     )
 
 
+ADAM_BLOCK = 1 << 16  # elements per block: a few hundred KB per operand
+
+
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, learning_rate: float):
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    Each tensor is walked in blocks of ``ADAM_BLOCK`` elements through two
+    block-sized scratch buffers, so the operands stay in cache and no
+    full-size temporary is made. Per element the operations and their order
+    are those of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
+
+    so the result is the same bits as evaluating it on whole tensors.
+    """
     state.step += 1
-    correct1 = 1.0 - state.beta1 ** state.step
-    correct2 = 1.0 - state.beta2 ** state.step
+    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    correct1 = 1.0 - beta1 ** state.step
+    correct2 = 1.0 - beta2 ** state.step
+    buf_a, buf_b = np.empty(ADAM_BLOCK, params.dtype), np.empty(ADAM_BLOCK, params.dtype)
     for (name, tensor), (_, grad) in zip(named_tensors(params), named_tensors(grads)):
-        m = state.first[name]
-        v = state.second[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (grad * grad)
-        tensor -= learning_rate * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        flat_p = tensor.reshape(-1, copy=False)
+        flat_g = grad.reshape(-1, copy=False)
+        flat_m = state.first[name].reshape(-1, copy=False)
+        flat_v = state.second[name].reshape(-1, copy=False)
+        for lo in range(0, flat_p.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, flat_p.size)
+            g, m, v = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            a, b = buf_a[: hi - lo], buf_b[: hi - lo]
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=a)
+            m += a
+            v *= beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - beta2
+            v += a
+            np.divide(m, correct1, out=a)
+            a *= learning_rate
+            np.divide(v, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            flat_p[lo:hi] -= a
 
 
 @dataclass

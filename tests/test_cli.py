@@ -273,6 +273,24 @@ class TestPredictTriples:
         assert (one / "curve.tsv").read_bytes() == (two / "curve.tsv").read_bytes()
 
 
+class TestWorkers:
+    @pytest.mark.parametrize(
+        "command, workers", [("eval", "0"), ("eval", "-2"),
+                             ("predict-triples", "0"), ("predict-triples", "-2")],
+    )
+    def test_workers_below_one_is_one_line_error(self, trained, tmp_path, capsys,
+                                                 command, workers):
+        dataset, checkpoint = trained
+        code, _, err = run_cli(
+            capsys, command, "--checkpoint", str(checkpoint), "--data", str(dataset),
+            "--out", str(tmp_path / "out"), "--workers", workers,
+        )
+        assert code == 1
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0] == f"error\tValueError\tworkers must be >= 1, got {workers}"
+
+
 class TestAuditInverse:
     def test_stdout_report(self, tmp_path, capsys):
         (tmp_path / "train.txt").write_text(

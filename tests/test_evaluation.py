@@ -171,6 +171,21 @@ class TestMapChunks:
         assert counts["most_unconsumed"] <= 2 * workers
 
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected_before_any_span(self, workers):
+        calls = []
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            evaluation.map_chunks(calls.append, 10, 3, workers)
+        assert calls == []
+
+    @pytest.mark.parametrize("evaluate", [evaluate_entity_prediction, evaluate_cascade])
+    def test_evaluation_rejects_zero_workers(self, tiny_dataset, evaluate):
+        vocab = tiny_dataset.vocab
+        params = init_params(vocab.num_entities, vocab.num_relations, 3, 1, seed=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            evaluate(params, tiny_dataset, EnhanceConfig(enabled=False), workers=0)
+
+
 class TestFilteredRank:
     def test_known_competitor_example(self):
         rank = filtered_rank(np.array([0.5, 0.3, 0.2]), gold=1, known=[1])

@@ -13,6 +13,8 @@ from dskg.model import (
     init_params,
     load_checkpoint,
     logits,
+    lstm_backward,
+    lstm_forward,
     lstm_step,
     named_tensors,
     save_checkpoint,
@@ -126,6 +128,74 @@ class TestLstmStep:
         cell = CellParams(np.zeros((4 * k, k)), np.zeros((4 * k, k)), np.zeros(4 * k))
         with pytest.raises(ValueError):
             lstm_step(cell, np.zeros(k + 1), (np.zeros(k), np.zeros(k)))
+
+
+def random_cell(rng, k, dtype):
+    return CellParams(
+        rng.normal(size=(4 * k, k)).astype(dtype),
+        rng.normal(size=(4 * k, k)).astype(dtype),
+        rng.normal(size=4 * k).astype(dtype),
+    )
+
+
+class TestZeroState:
+    """``None`` for a state or for ``dc`` gives the bits of explicit zeros."""
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_none_state_equals_explicit_zeros(self, rows, dropout, dtype):
+        # Two layers as in the entity step: the lower output, masked or not,
+        # is the upper input, and the mask scales the gradient coming down.
+        rng = np.random.default_rng(rows)
+        k = 5
+        cells = [random_cell(rng, k, dtype) for _ in range(2)]
+        x = rng.normal(size=(rows, k)).astype(dtype)
+        masks = [
+            ((rng.random((rows, k)) < 0.5) / 0.5).astype(dtype) if dropout else None
+            for _ in cells
+        ]
+        dh_top = rng.normal(size=(rows, k)).astype(dtype)
+        dcs = [rng.normal(size=(rows, k)).astype(dtype) for _ in cells]
+        zeros = np.zeros((rows, k), dtype)
+
+        def run(state):
+            outputs, caches, layer_in = [], [], x
+            for cell, mask in zip(cells, masks):
+                h, c, cache = lstm_forward(cell, layer_in, *state)
+                outputs += [h, c]
+                caches.append(cache)
+                layer_in = h if mask is None else h * mask
+            grads, d_out = [], dh_top
+            for layer in reversed(range(2)):
+                dh = d_out if masks[layer] is None else d_out * masks[layer]
+                back = lstm_backward(cells[layer], caches[layer], dh, dcs[layer])
+                grads.append(back)
+                d_out = back[0]
+            return outputs, grads
+
+        out_zero, grads_zero = run((zeros, zeros))
+        out_none, grads_none = run((None, None))
+        for a, b in zip(out_zero, out_none):
+            assert np.array_equal(a, b)
+        for zero, none in zip(grads_zero, grads_none):
+            dx, dh_prev, dc_prev, grad_w_x, grad_w_h, grad_b = none
+            assert dh_prev is None and dc_prev is None and grad_w_h is None
+            assert np.array_equal(dx, zero[0])
+            assert np.array_equal(grad_w_x, zero[3])
+            assert np.array_equal(grad_b, zero[5])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_dc_equals_zero_dc(self, dtype):
+        rng = np.random.default_rng(7)
+        k, rows = 4, 3
+        cell = random_cell(rng, k, dtype)
+        x, h_prev, c_prev, dh = (rng.normal(size=(rows, k)).astype(dtype) for _ in range(4))
+        _, _, cache = lstm_forward(cell, x, h_prev, c_prev)
+        with_zeros = lstm_backward(cell, cache, dh, np.zeros_like(dh))
+        with_none = lstm_backward(cell, cache, dh, None)
+        for a, b in zip(with_zeros, with_none):
+            assert np.array_equal(a, b)
 
 
 class TestForward:

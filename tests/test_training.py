@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 from conftest import equalized_pair, make_params, scalar_lstm_oracle
 from dskg import data
 from dskg.data import RawTriple, index_dataset
-from dskg.model import active_cells, init_params, named_tensors, tensor_shapes
+from dskg.model import ModelParams, active_cells, init_params, named_tensors, tensor_shapes
 from dskg.training import (
+    ADAM_BLOCK,
     TrainConfig,
     adam_init,
     adam_step,
@@ -111,6 +112,19 @@ class TestTripleLoss:
         assert np.isfinite(loss) and loss >= 0.0
 
 
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("want_grads", [False, True])
+    def test_non_finite_scores_rejected_in_both_negative_modes(self, shared, want_grads):
+        params = make_params(num_entities=6, num_relations=4)
+        params.entity_out_w[2, 0] = np.inf  # the true object of the first row
+        config = small_config(shared_negatives=shared, entity_negatives=5)
+        with pytest.raises(ValueError, match="requires finite scores"):
+            batch_loss_and_grads(
+                params, np.array([[0, 1, 2], [3, 0, 1]]), config,
+                negative_rng=np.random.default_rng(0), want_grads=want_grads,
+            )
+
+
 def finite_difference_max_error(params, batch, config, cand_e, cand_r, coords_per_tensor=None):
     def loss_fn():
         loss, _ = batch_loss_and_grads(
@@ -196,6 +210,20 @@ class TestBackward:
                 assert np.allclose(g_shared.tensors[f"shared_cells.{layer}.{field}"], both,
                                    rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_entity_step_recurrent_weights_get_no_gradient(self, shared):
+        # Step 1 starts from the zero state, so its w_h multiplies only zeros.
+        params = make_params(num_entities=6, num_relations=4, num_layers=2)
+        config = small_config(num_layers=2, keep_prob=0.7, shared_negatives=shared)
+        _, grads = batch_loss_and_grads(
+            params, np.array([[0, 1, 2], [3, 0, 1], [5, 2, 4]]), config,
+            negative_rng=np.random.default_rng(1), dropout_rng=np.random.default_rng(2),
+        )
+        for layer in range(2):
+            assert not np.any(grads.tensors[f"entity_cells.{layer}.w_h"])
+            assert np.any(grads.tensors[f"entity_cells.{layer}.w_x"])
+            assert np.any(grads.tensors[f"relation_cells.{layer}.w_h"])
+
     def test_saturated_softmax_kills_gradient(self):
         params = make_params(num_entities=6, num_relations=4)
         params.entity_out_b[2] = 1e6
@@ -260,6 +288,41 @@ class TestAdam:
         assert np.all(delta < 0)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_update_equals_one_shot_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        size = 3 * ADAM_BLOCK + 17
+        params = ModelParams(
+            {"entity_embed": rng.normal(size=(size, 1)).astype(dtype),
+             "entity_out_b": rng.normal(size=3).astype(dtype)},
+            "dskg", 1,
+        )
+        expected = {name: t.copy() for name, t in named_tensors(params)}
+        first = {name: np.zeros_like(t) for name, t in expected.items()}
+        second = {name: np.zeros_like(t) for name, t in expected.items()}
+        state = adam_init(params)
+        rate = 0.01
+        for step in range(1, 6):
+            grads = ModelParams(
+                {name: rng.normal(size=t.shape).astype(dtype) for name, t in named_tensors(params)},
+                "dskg", 1,
+            )
+            adam_step(params, grads, state, learning_rate=rate)
+            correct1 = 1.0 - state.beta1 ** step
+            correct2 = 1.0 - state.beta2 ** step
+            for name, grad in named_tensors(grads):
+                first[name] = state.beta1 * first[name] + (1.0 - state.beta1) * grad
+                second[name] = state.beta2 * second[name] + (1.0 - state.beta2) * (grad * grad)
+                expected[name] = expected[name] - rate * (first[name] / correct1) / (
+                    np.sqrt(second[name] / correct2) + state.eps
+                )
+        for name, tensor in named_tensors(params):
+            assert tensor.dtype == dtype
+            assert np.array_equal(tensor, expected[name])
+            assert np.array_equal(state.first[name], first[name])
+            assert np.array_equal(state.second[name], second[name])
+
+
 def memorizable_kg(n_triples=50, n_relations=5):
     """Each subject appears once, so relation and object are both functions."""
     train = []
@@ -281,6 +344,21 @@ class TestTrainLoop:
         )
         for (_, got), (_, want) in zip(named_tensors(result.params), named_tensors(reference)):
             assert np.array_equal(got, want)
+
+    def test_entity_step_recurrent_weights_never_train(self, tiny_dataset):
+        config = small_config(num_layers=2, epochs=3, keep_prob=0.8, seed=4,
+                              precision="standard", learning_rate=0.05)
+        result = train(tiny_dataset, config, val_metric_fn=lambda p: (0.0, 0.0))
+        initial = init_params(
+            tiny_dataset.vocab.num_entities, tiny_dataset.vocab.num_relations,
+            config.embed_dim, 2, seed=4, dtype=np.float32,
+        )
+        for layer in range(2):
+            name = f"entity_cells.{layer}"
+            assert np.array_equal(result.final_params.tensors[f"{name}.w_h"],
+                                  initial.tensors[f"{name}.w_h"])
+            assert not np.array_equal(result.final_params.tensors[f"{name}.w_x"],
+                                      initial.tensors[f"{name}.w_x"])
 
     def test_memorizable_set_loss_drops_ninety_percent(self):
         ds = memorizable_kg(50)
