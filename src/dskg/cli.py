@@ -9,67 +9,48 @@ as ``config.resolved`` in the output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 from . import beam, config as cfg, data, evaluation, toygen, training
 from .model import load_checkpoint, save_checkpoint
 
-TRAIN_OPTION_TYPES = {
-    "learning_rate": float,
-    "batch_size": int,
-    "embed_dim": int,
-    "layers": int,
-    "keep_prob": float,
-    "entity_negatives": int,
-    "relation_negatives": int,
-    "arch": str,
-    "relation_loss": bool,
-    "epochs": int,
-    "eval_interval": int,
-    "patience": int,
-    "seed": int,
-    "shared_negatives": bool,
-    "sampling_correction": bool,
-    "precision": str,
-}
+TRAIN_ALIASES = {"num_layers": "layers"}  # TrainConfig field -> option name
 
-TRAIN_OPTION_DEFAULTS = {
-    "learning_rate": 0.001,
-    "batch_size": 2048,
-    "embed_dim": 512,
-    "layers": 2,
-    "keep_prob": 0.5,
-    "entity_negatives": None,
-    "relation_negatives": None,
-    "arch": "dskg",
-    "relation_loss": True,
-    "epochs": 100,
-    "eval_interval": 1,
-    "patience": 3,
-    "seed": 0,
-    "shared_negatives": False,
-    "sampling_correction": False,
-    "precision": "standard",
-}
 
-EVAL_OPTION_TYPES = {"alpha": float, "pessimistic": bool, "workers": int, "dump_ranks": bool}
-EVAL_OPTION_DEFAULTS = {"alpha": 1.0 / 3.0, "pessimistic": False, "workers": 1, "dump_ranks": False}
+def _option_table(config_cls, aliases=None) -> dict:
+    """Option name -> (type, default), read off a config dataclass's fields.
 
-PREDICT_OPTION_TYPES = {
-    "stage1_window": int,
-    "stage2_window": int,
-    "canonicalize": bool,
-    "curve_points": int,
-    "workers": int,
+    An ``int | None`` field is an ``int`` option whose default is None.
+    """
+    aliases = aliases or {}
+    hints = typing.get_type_hints(config_cls)
+    table = {}
+    for field in dataclasses.fields(config_cls):
+        kinds = [t for t in typing.get_args(hints[field.name]) if t is not type(None)]
+        table[aliases.get(field.name, field.name)] = (
+            kinds[0] if kinds else hints[field.name], field.default
+        )
+    return table
+
+
+def _config_from(config_cls, options: dict, aliases=None):
+    aliases = aliases or {}
+    return config_cls(
+        **{f.name: options[aliases.get(f.name, f.name)] for f in dataclasses.fields(config_cls)}
+    )
+
+
+TRAIN_OPTIONS = _option_table(training.TrainConfig, TRAIN_ALIASES)
+EVAL_OPTIONS = {
+    "alpha": (float, evaluation.EnhanceConfig.alpha),
+    "pessimistic": (bool, False),
+    "workers": (int, 1),
+    "dump_ranks": (bool, False),
 }
-PREDICT_OPTION_DEFAULTS = {
-    "stage1_window": 100_000,
-    "stage2_window": 1_000_000,
-    "canonicalize": True,
-    "curve_points": 1000,
-    "workers": 1,
-}
+PREDICT_OPTIONS = {**_option_table(beam.BeamConfig), "workers": (int, 1)}
 
 
 def load_any_dataset(path) -> data.IndexedDataset:
@@ -86,8 +67,14 @@ def load_any_dataset(path) -> data.IndexedDataset:
     return data.load_dataset(path)
 
 
-def _resolve(parsed_flags: dict, defaults: dict, types: dict, config_file=None) -> dict:
-    return cfg.resolve_options(defaults, types, config_file=config_file, flags=parsed_flags)
+def _resolve(args, table: dict) -> dict:
+    """Resolve one command's options from its table, ``--config`` file, env and flags."""
+    return cfg.resolve_options(
+        {key: default for key, (_, default) in table.items()},
+        {key: kind for key, (kind, _) in table.items()},
+        config_file=args.config,
+        flags={key: getattr(args, key) for key in table},
+    )
 
 
 def _echo_config(options: dict, out_dir: Path, extra: dict | None = None):
@@ -95,27 +82,6 @@ def _echo_config(options: dict, out_dir: Path, extra: dict | None = None):
     if extra:
         merged.update(extra)
     cfg.write_resolved(merged, out_dir / "config.resolved")
-
-
-def _train_config(options: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        learning_rate=options["learning_rate"],
-        batch_size=options["batch_size"],
-        embed_dim=options["embed_dim"],
-        num_layers=options["layers"],
-        keep_prob=options["keep_prob"],
-        entity_negatives=options["entity_negatives"],
-        relation_negatives=options["relation_negatives"],
-        arch=options["arch"],
-        relation_loss=options["relation_loss"],
-        epochs=options["epochs"],
-        eval_interval=options["eval_interval"],
-        patience=options["patience"],
-        seed=options["seed"],
-        shared_negatives=options["shared_negatives"],
-        sampling_correction=options["sampling_correction"],
-        precision=options["precision"],
-    )
 
 
 def cmd_prepare(args) -> int:
@@ -169,9 +135,8 @@ def cmd_gen_toy(args) -> int:
 
 
 def cmd_train(args) -> int:
-    flags = {key: getattr(args, key) for key in TRAIN_OPTION_TYPES}
-    options = _resolve(flags, TRAIN_OPTION_DEFAULTS, TRAIN_OPTION_TYPES, args.config)
-    train_config = _train_config(options)
+    options = _resolve(args, TRAIN_OPTIONS)
+    train_config = _config_from(training.TrainConfig, options, TRAIN_ALIASES)
     dataset = load_any_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,8 +168,7 @@ def _check_compatible(params, dataset):
 
 
 def cmd_eval(args) -> int:
-    flags = {key: getattr(args, key) for key in EVAL_OPTION_TYPES}
-    options = _resolve(flags, EVAL_OPTION_DEFAULTS, EVAL_OPTION_TYPES, args.config)
+    options = _resolve(args, EVAL_OPTIONS)
     dataset = load_any_dataset(args.data)
     params = load_checkpoint(args.checkpoint)
     _check_compatible(params, dataset)
@@ -242,8 +206,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict_triples(args) -> int:
-    flags = {key: getattr(args, key) for key in PREDICT_OPTION_TYPES}
-    options = _resolve(flags, PREDICT_OPTION_DEFAULTS, PREDICT_OPTION_TYPES, args.config)
+    options = _resolve(args, PREDICT_OPTIONS)
     dataset = load_any_dataset(args.data)
     params = load_checkpoint(args.checkpoint)
     _check_compatible(params, dataset)
@@ -254,12 +217,7 @@ def cmd_predict_triples(args) -> int:
         {"checkpoint": str(args.checkpoint), "data": str(args.data), "out": str(out_dir)},
     )
 
-    beam_config = beam.BeamConfig(
-        stage1_window=options["stage1_window"],
-        stage2_window=options["stage2_window"],
-        canonicalize=options["canonicalize"],
-        curve_points=options["curve_points"],
-    )
+    beam_config = _config_from(beam.BeamConfig, options)
     pairs = beam.stage1_pairs(params, beam_config, workers=options["workers"])
     output = beam.stage2_triples(params, pairs, beam_config, workers=options["workers"])
     curve = beam.precision_curve(

@@ -158,33 +158,6 @@ def enhance_scores(p_orig, reverse_probs, alpha: float) -> np.ndarray:
     return np.asarray(reverse_probs, dtype=np.float64) ** alpha * p_orig
 
 
-def reverse_relation_probs(
-    params: ModelParams,
-    relation: int,
-    reverse_of: np.ndarray,
-    rel_matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-entity probability of the query relation's reverse."""
-    if rel_matrix is None:
-        rel_matrix = relation_prob_matrix(params)
-    return rel_matrix[:, int(reverse_of[relation])]
-
-
-def enhance_scores_for_query(
-    params: ModelParams,
-    p_orig,
-    relation: int,
-    reverse_of: np.ndarray,
-    alpha: float,
-    rel_matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Refine a (s, r, ?) probability vector using the model's own reverse
-    evidence; pass a precomputed ``rel_matrix`` when scoring many queries."""
-    return enhance_scores(
-        p_orig, reverse_relation_probs(params, relation, reverse_of, rel_matrix), alpha
-    )
-
-
 def map_chunks(fn, total: int, chunk: int, workers: int):
     """Yield ``fn((lo, hi))`` for consecutive spans covering ``range(total)``, in order.
 

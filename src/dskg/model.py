@@ -385,21 +385,18 @@ def forward_triple(
     return h_s[0], h_r[0]
 
 
-def output_block(params: ModelParams, kind: str):
-    if kind == "entity":
-        return params.entity_out_w, params.entity_out_b
-    if kind == "relation":
-        return params.relation_out_w, params.relation_out_b
-    raise ValueError(f"unknown label kind {kind!r}")
-
-
 def logits(params: ModelParams, h: np.ndarray, kind: str, candidates=None) -> np.ndarray:
     """Unscaled label scores: row(label) . h + bias(label) over one type block.
 
     ``candidates`` may be None (score the whole lexicon), a 1-d id list, or a
     per-row (batch, n) id matrix matching a batched ``h``.
     """
-    weight, bias = output_block(params, kind)
+    if kind == "entity":
+        weight, bias = params.entity_out_w, params.entity_out_b
+    elif kind == "relation":
+        weight, bias = params.relation_out_w, params.relation_out_b
+    else:
+        raise ValueError(f"unknown label kind {kind!r}")
     h = np.asarray(h)
     if h.shape[-1] != params.embed_dim:
         raise ValueError("hidden vector has wrong width")

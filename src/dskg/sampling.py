@@ -68,23 +68,6 @@ def log_uniform_sample(
     return out
 
 
-def type_based_negatives(
-    label: int,
-    kind: str,
-    num_entities: int,
-    num_relations: int,
-    entity_count: int,
-    relation_count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Negatives drawn from the true label's own lexicon."""
-    if kind == "entity":
-        return log_uniform_sample(num_entities, entity_count, label, rng)
-    if kind == "relation":
-        return log_uniform_sample(num_relations, relation_count, label, rng)
-    raise ValueError(f"unknown label kind {kind!r}")
-
-
 def negatives_for_batch(
     labels: np.ndarray, lexicon_size: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:

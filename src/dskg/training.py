@@ -3,8 +3,12 @@
 Each training sequence (s, r, o) contributes up to two loss terms: predicting
 r from the entity-step output and predicting o from the relation-step output,
 each as a sampled softmax over the true label plus type-matched log-uniform
-negatives. Gradients are reverse-mode through the whole graph, computed by
-hand against the forward caches, so they can be checked against finite
+negatives (Jean et al. 2015). The negatives are one set shared by the batch
+(``--shared-negatives``) or one set per example; one forward term
+(``_loss_term``) and one backward term (``_backward_term``) serve both, by
+scoring the batch's distinct negative columns once as a (batch, columns)
+block. Gradients are reverse-mode through the whole graph, computed by hand
+against the forward caches, so they can be checked against finite
 differences in float64.
 """
 
@@ -112,69 +116,75 @@ def sampled_softmax_loss(scores, true_index: int = 0):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    return shifted
+def _columns(neg: np.ndarray, lexicon_size: int):
+    """Distinct ids of ``neg`` in first-seen order, and each entry's column.
 
-
-def _loss_term_per_example(weight, bias, h, cand, log_q):
-    """Scores, per-row loss, and softmax grads for per-example candidates."""
-    gathered = weight[cand]  # (B, C, k)
-    scores = np.einsum("bck,bk->bc", gathered, h) + bias[cand]
-    if log_q is not None:
-        scores = scores - log_q[cand]
-    losses = sampled_softmax_loss(scores)
-    return losses, (gathered, scores.astype(np.float64))
-
-
-def _loss_term_shared(weight, bias, h, true_ids, neg_ids, log_q):
-    """Same contract with one negative set shared across the batch.
-
-    A negative that collides with a row's true label is masked out of that
-    row (score -inf), which zeroes both its probability and its gradient.
+    One shared negative set ``(k,)`` is already distinct and in order, so it
+    is its own column list and every row's positions are ``arange(k)``;
+    ``None`` stands for them, which spares the row gather and scatter.
     """
-    s_true = np.einsum("bk,bk->b", h, weight[true_ids]) + bias[true_ids]
-    s_neg = h @ weight[neg_ids].T + bias[neg_ids]
+    if neg.ndim == 1:
+        return neg, None
+    flat = neg.reshape(-1)
+    first = np.full(lexicon_size, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    cols = flat[np.sort(first[first < flat.size])]
+    column = np.empty(lexicon_size, dtype=np.int64)
+    column[cols] = np.arange(len(cols))
+    return cols, column[neg]
+
+
+def _loss_term(weight, bias, h, true_ids, neg, log_q):
+    """Per-row sampled-softmax loss over the true label plus its negatives.
+
+    ``neg`` is ``(k,)`` when the batch shares one negative set and ``(B, k)``
+    when each row has its own. The distinct negative columns are scored once
+    as a ``(B, C)`` block and each row gathers its own scores from it. A
+    negative that equals a row's true label is masked out of that row (score
+    -inf), which zeroes both its probability and its gradient.
+    """
+    cols, pos = _columns(neg, len(weight))
+    block = h @ weight[cols].T
+    block += bias[cols]
+    scores = np.empty((len(h), 1 + neg.shape[-1]))
+    scores[:, 0] = np.einsum("bk,bk->b", h, weight[true_ids]) + bias[true_ids]
+    scores[:, 1:] = block if pos is None else block[np.arange(len(h))[:, None], pos]
     if log_q is not None:
-        s_true = s_true - log_q[true_ids]
-        s_neg = s_neg - log_q[neg_ids]
-    scores = np.concatenate([s_true[:, None], s_neg], axis=1).astype(np.float64)
+        scores[:, 0] -= log_q[true_ids]
+        scores[:, 1:] -= log_q[neg]
     # Checked before the collision mask writes its -inf entries.
     if not np.all(np.isfinite(scores)):
         raise ValueError("sampled_softmax_loss requires finite scores")
-    collide = neg_ids[None, :] == np.asarray(true_ids)[:, None]
-    scores[:, 1:][collide] = -np.inf
+    scores[:, 1:][neg == true_ids[:, None]] = -np.inf
     top = scores.max(axis=1, keepdims=True)
     lse = np.log(np.exp(scores - top).sum(axis=1)) + top[:, 0]
-    losses = lse - scores[:, 0]
-    return losses, scores
+    return lse - scores[:, 0], (cols, pos, scores)
 
 
-def _backward_term_per_example(grads_w, grads_b, h, cand, gathered, scores, batch_size):
-    dscores = _softmax_rows(scores)
-    dscores[:, 0] -= 1.0
-    dscores /= batch_size
-    dscores = dscores.astype(h.dtype)
-    dh = np.einsum("bc,bck->bk", dscores, gathered)
-    np.add.at(grads_w, cand, dscores[..., None] * h[:, None, :])
-    np.add.at(grads_b, cand, dscores)
-    return dh
+def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
+    """Accumulate one term's output-block grads; return its grad w.r.t. ``h``.
 
-
-def _backward_term_shared(grads_w, grads_b, weight, h, true_ids, neg_ids, scores, batch_size):
+    The negatives' row gradients are written back into a ``(B, C)`` block,
+    so ``dh`` and ``dW[cols]`` each come from one matmul. A row's negatives
+    are distinct, so the write needs no accumulation.
+    """
+    cols, pos, scores = term
     shifted = scores - scores.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
     probs[:, 0] -= 1.0
     probs /= batch_size
     dscores = probs.astype(h.dtype)
-    dh = dscores[:, :1] * weight[true_ids] + dscores[:, 1:] @ weight[neg_ids]
+    if pos is None:
+        block = dscores[:, 1:]
+    else:
+        block = np.zeros((len(h), len(cols)), dtype=h.dtype)
+        block[np.arange(len(h))[:, None], pos] = dscores[:, 1:]
+    dh = dscores[:, :1] * weight[true_ids] + block @ weight[cols]
     np.add.at(grads_w, true_ids, dscores[:, :1] * h)
     np.add.at(grads_b, true_ids, dscores[:, 0])
-    grads_w[neg_ids] += dscores[:, 1:].T @ h
-    grads_b[neg_ids] += dscores[:, 1:].sum(axis=0)
+    grads_w[cols] += block.T @ h
+    grads_b[cols] += block.sum(axis=0)
     return dh
 
 
@@ -214,6 +224,30 @@ def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams
     np.add.at(grads.entity_embed, cache.s_ids, d_out)
 
 
+def _negatives(candidates, labels, lexicon_size, count, shared, rng, kind):
+    """Negative ids for one term: ``(k,)`` shared by the batch, or ``(B, k)``.
+
+    Explicit ``candidates`` (column 0 = each row's label) are validated and
+    win over sampling; otherwise the batch draws one shared set or one set
+    per row.
+    """
+    if candidates is None:
+        if shared:
+            return log_uniform_sample(lexicon_size, count, None, rng)
+        return negatives_for_batch(labels, lexicon_size, count, rng)
+    cand = np.asarray(candidates)
+    if (cand.ndim != 2 or len(cand) != len(labels) or cand.shape[1] < 1
+            or not np.issubdtype(cand.dtype, np.integer)):
+        raise ValueError(f"{kind} candidates must be a (batch, n >= 1) integer id matrix")
+    if cand.min() < 0 or cand.max() >= lexicon_size:
+        raise ValueError(f"{kind} candidate id out of range [0, {lexicon_size})")
+    if not np.array_equal(cand[:, 0], labels):
+        raise ValueError(f"{kind} candidates: column 0 must be each row's label")
+    if np.any(np.diff(np.sort(cand, axis=1), axis=1) == 0):
+        raise ValueError(f"{kind} candidates: a row repeats an id")
+    return cand[:, 1:]
+
+
 def batch_loss_and_grads(
     params: ModelParams,
     batch: np.ndarray,
@@ -227,9 +261,9 @@ def batch_loss_and_grads(
 ):
     """Mean loss over a batch and, optionally, gradients for every tensor.
 
-    Candidate matrices (column 0 = true label) may be supplied explicitly,
-    which makes the loss a deterministic function of the parameters; that is
-    what the finite-difference checks rely on. Dropout is active only when a
+    Candidate matrices (column 0 = true label, ids distinct within a row)
+    may be supplied explicitly, which makes the loss a deterministic function
+    of the parameters; that is what the finite-difference checks rely on. Dropout is active only when a
     ``dropout_rng`` is given and ``config.keep_prob < 1``.
     """
     batch = np.asarray(batch)
@@ -246,45 +280,21 @@ def batch_loss_and_grads(
         log_q_e = np.log(log_uniform_probs(params.num_entities))
         log_q_r = np.log(log_uniform_probs(params.num_relations))
 
-    shared_mode = config.shared_negatives and entity_candidates is None
-    if entity_candidates is not None:
-        cand_e = np.asarray(entity_candidates)
-    elif shared_mode:
-        neg_e = log_uniform_sample(params.num_entities, n_e, None, negative_rng)
-    else:
-        cand_e = np.column_stack(
-            [objects, negatives_for_batch(objects, params.num_entities, n_e, negative_rng)]
-        )
-
+    # Entity negatives are drawn before relation negatives.
+    neg_e = _negatives(entity_candidates, objects, params.num_entities, n_e,
+                       config.shared_negatives, negative_rng, "entity")
     total = np.zeros(batch_size, dtype=np.float64)
     rel_term = None
     if config.relation_loss:
-        if relation_candidates is not None:
-            cand_r = np.asarray(relation_candidates)
-        elif shared_mode:
-            neg_r = log_uniform_sample(params.num_relations, n_r, None, negative_rng)
-        else:
-            cand_r = np.column_stack(
-                [relations, negatives_for_batch(relations, params.num_relations, n_r, negative_rng)]
-            )
-        if shared_mode and relation_candidates is None:
-            losses, rel_term = _loss_term_shared(
-                params.relation_out_w, params.relation_out_b, h_s, relations, neg_r, log_q_r
-            )
-        else:
-            losses, rel_term = _loss_term_per_example(
-                params.relation_out_w, params.relation_out_b, h_s, cand_r, log_q_r
-            )
+        neg_r = _negatives(relation_candidates, relations, params.num_relations, n_r,
+                           config.shared_negatives, negative_rng, "relation")
+        losses, rel_term = _loss_term(
+            params.relation_out_w, params.relation_out_b, h_s, relations, neg_r, log_q_r
+        )
         total += losses
-
-    if shared_mode:
-        losses, ent_term = _loss_term_shared(
-            params.entity_out_w, params.entity_out_b, h_r, objects, neg_e, log_q_e
-        )
-    else:
-        losses, ent_term = _loss_term_per_example(
-            params.entity_out_w, params.entity_out_b, h_r, cand_e, log_q_e
-        )
+    losses, ent_term = _loss_term(
+        params.entity_out_w, params.entity_out_b, h_r, objects, neg_e, log_q_e
+    )
     total += losses
     mean_loss = float(total.mean())
 
@@ -292,27 +302,16 @@ def batch_loss_and_grads(
         return mean_loss, None
 
     grads = params.zeros_like()
-    if shared_mode:
-        dh_r = _backward_term_shared(
-            grads.entity_out_w, grads.entity_out_b, params.entity_out_w,
-            h_r, objects, neg_e, ent_term, batch_size,
-        )
-    else:
-        dh_r = _backward_term_per_example(
-            grads.entity_out_w, grads.entity_out_b, h_r, cand_e, *ent_term, batch_size
-        )
+    dh_r = _backward_term(grads.entity_out_w, grads.entity_out_b, params.entity_out_w,
+                          h_r, objects, ent_term, batch_size)
     if config.relation_loss:
-        if shared_mode and relation_candidates is None:
-            dh_s = _backward_term_shared(
-                grads.relation_out_w, grads.relation_out_b, params.relation_out_w,
-                h_s, relations, neg_r, rel_term, batch_size,
-            )
-        else:
-            dh_s = _backward_term_per_example(
-                grads.relation_out_w, grads.relation_out_b, h_s, cand_r, *rel_term, batch_size
-            )
+        dh_s = _backward_term(grads.relation_out_w, grads.relation_out_b,
+                              params.relation_out_w, h_s, relations, rel_term, batch_size)
     else:
         dh_s = np.zeros_like(h_s)
+    # The score blocks are spent: free them before the LSTM backward, where
+    # the step's memory peaks.
+    del ent_term, rel_term
 
     _backward_network(params, cache, dh_s, dh_r, grads)
     for name, tensor in named_tensors(grads):

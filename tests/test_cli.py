@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from dskg import cli, data, model
+from dskg import beam, cli, data, evaluation, model, training
 from dskg.config import parse_config_file, resolve_options, write_resolved
 
 
@@ -342,6 +344,24 @@ class TestConfigHelpers:
         path = tmp_path / "config.resolved"
         write_resolved({"b": 2, "a": 1}, path)
         assert path.read_text() == "a=1\nb=2\n"
+
+
+    def test_option_tables_follow_the_config_dataclasses(self):
+        assert cli.TRAIN_OPTIONS["layers"] == (int, training.TrainConfig().num_layers)
+        assert "num_layers" not in cli.TRAIN_OPTIONS
+        assert cli.TRAIN_OPTIONS["entity_negatives"] == (int, None)
+        assert cli.EVAL_OPTIONS["alpha"] == (float, evaluation.EnhanceConfig().alpha)
+        beam_defaults = {key: d for key, (_, d) in cli.PREDICT_OPTIONS.items() if key != "workers"}
+        assert beam_defaults == dataclasses.asdict(beam.BeamConfig())
+        parser = cli.build_parser()
+        paths = ["--data", "d", "--out", "o"]
+        for argv, table in (
+            (["train", *paths], cli.TRAIN_OPTIONS),
+            (["eval", "--checkpoint", "c", *paths], cli.EVAL_OPTIONS),
+            (["predict-triples", "--checkpoint", "c", *paths], cli.PREDICT_OPTIONS),
+        ):
+            args = vars(parser.parse_args(argv))
+            assert all(key in args and args[key] is None for key in table), argv[0]
 
 
 class TestUsageErrors:

@@ -11,7 +11,6 @@ from dskg.data import RawTriple, index_dataset
 from dskg.evaluation import (
     EnhanceConfig,
     enhance_scores,
-    enhance_scores_for_query,
     entity_scores,
     evaluate_cascade,
     evaluate_entity_prediction,
@@ -267,7 +266,7 @@ class TestEnhancement:
             EnhanceConfig(alpha=0.0, enabled=True)
         EnhanceConfig(alpha=0.0, enabled=False)  # unused alpha unchecked
 
-    def test_query_wrapper_uses_model_reverse_evidence(self):
+    def test_query_enhancement_uses_model_reverse_evidence(self):
         rng = np.random.default_rng(4)
         ds = random_toy_dataset(rng)
         params = make_params(
@@ -276,9 +275,9 @@ class TestEnhancement:
         rev = ds.vocab.reverse_of
         relation = 1
         p_orig = entity_scores(params, 0, relation)
-        refined = enhance_scores_for_query(params, p_orig, relation, rev, alpha=1 / 3)
-        matrix = relation_prob_matrix(params)
-        expected = matrix[:, rev[relation]] ** (1 / 3) * p_orig
+        refined = enhance_scores(p_orig, relation_prob_matrix(params)[:, rev[relation]], 1 / 3)
+        reverse = [relation_scores(params, e)[rev[relation]] for e in range(params.num_entities)]
+        expected = np.array(reverse) ** (1 / 3) * p_orig
         assert np.allclose(refined, expected, atol=1e-15)
 
 

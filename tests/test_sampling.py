@@ -7,7 +7,6 @@ from dskg.sampling import (
     log_uniform_raw,
     log_uniform_sample,
     negatives_for_batch,
-    type_based_negatives,
 )
 
 
@@ -80,14 +79,14 @@ class TestDistinctSample:
 class TestTypeBasedNegatives:
     def test_entity_kind(self):
         rng = np.random.default_rng(0)
-        out = type_based_negatives(3, "entity", 50, 10, 8, 4, rng)
+        out = log_uniform_sample(50, 8, 3, rng)  # entity lexicon of 50
         assert len(out) == 8
         assert out.max() < 50 and 3 not in out
 
     def test_relation_kind_exhaustive(self):
         # a 36-relation lexicon with 35 negatives leaves no choice
         rng = np.random.default_rng(0)
-        out = type_based_negatives(7, "relation", 50, 36, 8, 35, rng)
+        out = log_uniform_sample(36, 35, 7, rng)
         assert sorted(out) == [r for r in range(36) if r != 7]
 
     def test_exclusion_holds_over_many_trials(self):
@@ -95,10 +94,6 @@ class TestTypeBasedNegatives:
         labels = rng.integers(0, 30, size=2000)
         negs = negatives_for_batch(labels, 30, 5, rng)
         assert not np.any(negs == labels[:, None])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            type_based_negatives(0, "thing", 10, 10, 2, 2, np.random.default_rng(0))
 
 
 class TestDistribution:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import equalized_pair, make_params, scalar_lstm_oracle
-from dskg import data
+from dskg import data, training
 from dskg.data import RawTriple, index_dataset
 from dskg.model import ModelParams, active_cells, init_params, named_tensors, tensor_shapes
+from dskg.sampling import log_uniform_sample
 from dskg.training import (
     ADAM_BLOCK,
     TrainConfig,
@@ -125,17 +127,102 @@ class TestTripleLoss:
             )
 
 
-def finite_difference_max_error(params, batch, config, cand_e, cand_r, coords_per_tensor=None):
-    def loss_fn():
-        loss, _ = batch_loss_and_grads(
-            params, batch, config,
-            entity_candidates=cand_e, relation_candidates=cand_r, want_grads=False,
+class TestNegativeModes:
+    """A shared-negative step against per-example steps over the same sets."""
+
+    def setup_method(self):
+        self.params = make_params(num_entities=8, num_relations=6, num_layers=2)
+        self.batch = np.array([[0, 1, 2], [3, 0, 1], [5, 2, 4], [7, 3, 0]])
+        self.config = small_config(num_layers=2, entity_negatives=4, relation_negatives=3)
+        self.shared_loss, self.shared_grads = batch_loss_and_grads(
+            self.params, self.batch, dataclasses.replace(self.config, shared_negatives=True),
+            negative_rng=np.random.default_rng(3),
         )
+        rng = np.random.default_rng(3)  # the shared step's draws, entity set first
+        self.neg_e = log_uniform_sample(8, 4, None, rng)
+        self.neg_r = log_uniform_sample(6, 3, None, rng)
+        # Some rows' true labels are among the shared negatives.
+        assert np.isin(self.batch[:, 2], self.neg_e).any()
+        assert np.isin(self.batch[:, 1], self.neg_r).any()
+
+    def test_shared_step_equals_per_example_step_with_the_shared_set(self, monkeypatch):
+        draws = iter([self.neg_e, self.neg_r])
+        monkeypatch.setattr(
+            training, "negatives_for_batch",
+            lambda labels, size, count, rng: np.tile(next(draws), (len(labels), 1)),
+        )
+        loss, grads = batch_loss_and_grads(
+            self.params, self.batch, self.config, negative_rng=np.random.default_rng(3)
+        )
+        assert loss == self.shared_loss
+        for (name, got), (_, want) in zip(named_tensors(grads), named_tensors(self.shared_grads)):
+            assert np.array_equal(got, want), name
+
+    def test_shared_negative_equal_to_a_label_leaves_that_row(self):
+        neg_e, neg_r = self.neg_e, self.neg_r
+        rows = [
+            batch_loss_and_grads(
+                self.params, np.array([[s, r, o]]), self.config,
+                entity_candidates=np.array([[o, *neg_e[neg_e != o]]]),
+                relation_candidates=np.array([[r, *neg_r[neg_r != r]]]),
+            )
+            for s, r, o in self.batch
+        ]
+        assert self.shared_loss == pytest.approx(np.mean([loss for loss, _ in rows]), rel=1e-12)
+        for name, got in named_tensors(self.shared_grads):
+            want = np.mean([grads.tensors[name] for _, grads in rows], axis=0)
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-15), name
+
+
+class TestExplicitCandidates:
+    @pytest.mark.parametrize(
+        "cand_e, match",
+        [
+            ([[2, 0, 0]], "repeats an id"),
+            ([[2, 0, 2]], "repeats an id"),
+            ([[0, 2, 4]], "column 0"),
+            ([[2, -1, 4]], "out of range"),
+            ([[2, 6, 4]], "out of range"),
+            ([[2, 0], [1, 3]], "matrix"),
+            ([[2.0, 0.0, 4.0]], "integer id matrix"),
+        ],
+    )
+    def test_bad_entity_candidates_rejected(self, cand_e, match):
+        params = make_params(num_entities=6, num_relations=4)
+        with pytest.raises(ValueError, match=match):
+            batch_loss_and_grads(params, np.array([[0, 1, 2]]), small_config(),
+                                 entity_candidates=np.array(cand_e),
+                                 relation_candidates=np.array([[1, 0, 3]]))
+
+    @pytest.mark.parametrize(
+        "cand_r, match",
+        [([[1, 3, 3]], "repeats an id"), ([[0, 1, 3]], "column 0"), ([[1, 0, 4]], "out of range")],
+    )
+    def test_bad_relation_candidates_rejected(self, cand_r, match):
+        params = make_params(num_entities=6, num_relations=4)
+        with pytest.raises(ValueError, match=match):
+            batch_loss_and_grads(params, np.array([[0, 1, 2]]), small_config(),
+                                 entity_candidates=np.array([[2, 0, 4]]),
+                                 relation_candidates=np.array(cand_r), want_grads=False)
+
+
+def finite_difference_max_error(params, batch, config, cand_e=None, cand_r=None,
+                                coords_per_tensor=None, negative_seed=None):
+    """Worst relative error of the analytic grads against central differences.
+
+    Without explicit candidates the negatives are drawn, from a generator
+    re-seeded with ``negative_seed`` for every loss call, so each call sees
+    the same negative sets.
+    """
+    def kwargs():
+        rng = None if negative_seed is None else np.random.default_rng(negative_seed)
+        return dict(entity_candidates=cand_e, relation_candidates=cand_r, negative_rng=rng)
+
+    def loss_fn():
+        loss, _ = batch_loss_and_grads(params, batch, config, want_grads=False, **kwargs())
         return loss
 
-    _, grads = batch_loss_and_grads(
-        params, batch, config, entity_candidates=cand_e, relation_candidates=cand_r
-    )
+    _, grads = batch_loss_and_grads(params, batch, config, **kwargs())
     step = 1e-5
     worst = 0.0
     rng = np.random.default_rng(0)
@@ -178,6 +265,23 @@ class TestBackward:
         config = small_config(embed_dim=3, num_layers=2, arch="shared-2")
         worst = finite_difference_max_error(
             params, batch, config, cand_e, cand_r, coords_per_tensor=24
+        )
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_finite_differences_sampled_negatives(self, shared, correction):
+        params = make_params(num_entities=6, num_relations=4, embed_dim=3, num_layers=2)
+        batch = np.array([[0, 1, 2], [3, 0, 1], [5, 2, 4]])
+        config = small_config(embed_dim=3, num_layers=2, entity_negatives=3,
+                              shared_negatives=shared, sampling_correction=correction)
+        if shared:  # some row's true label is among the shared negatives
+            rng = np.random.default_rng(7)
+            neg_e = log_uniform_sample(6, 3, None, rng)
+            neg_r = log_uniform_sample(4, 2, None, rng)
+            assert np.isin(batch[:, 2], neg_e).any() and np.isin(batch[:, 1], neg_r).any()
+        worst = finite_difference_max_error(
+            params, batch, config, coords_per_tensor=24, negative_seed=7
         )
         assert worst < 1e-4
 
