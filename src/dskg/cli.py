@@ -179,23 +179,17 @@ def cmd_eval(args) -> int:
         {"checkpoint": str(args.checkpoint), "data": str(args.data), "out": str(out_dir)},
     )
 
-    enhance_on = evaluation.EnhanceConfig(alpha=options["alpha"], enabled=True)
-    enhance_off = evaluation.EnhanceConfig(enabled=False)
-    variants = {
-        "entity_plain": (evaluation.evaluate_entity_prediction, enhance_off),
-        "entity_enhanced": (evaluation.evaluate_entity_prediction, enhance_on),
-        "cascade_plain": (evaluation.evaluate_cascade, enhance_off),
-        "cascade_enhanced": (evaluation.evaluate_cascade, enhance_on),
-    }
-    for name, (fn, enhance) in variants.items():
-        report = fn(
-            params, dataset, enhance,
-            split=args.split,
-            keep_ranks=options["dump_ranks"],
-            pessimistic=options["pessimistic"],
-            workers=options["workers"],
-        )
-        notes = [f"enhancement={'on (alpha=%g)' % options['alpha'] if enhance.enabled else 'off'}"]
+    reports = evaluation.evaluate_variants(
+        params, dataset,
+        alpha=options["alpha"],
+        split=args.split,
+        keep_ranks=options["dump_ranks"],
+        pessimistic=options["pessimistic"],
+        workers=options["workers"],
+    )
+    for name, report in reports.items():
+        enhanced = name.endswith("_enhanced")
+        notes = [f"enhancement={'on (alpha=%g)' % options['alpha'] if enhanced else 'off'}"]
         text = evaluation.format_report(report, name, notes)
         (out_dir / f"{name}.report").write_text(text, encoding="utf-8")
         if options["dump_ranks"]:

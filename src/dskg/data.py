@@ -5,8 +5,8 @@ per line. Entities and relations get integer ids in descending order of
 training frequency (ties broken by first appearance), every forward relation
 gets an artificial reverse partner, and the training split is materialized
 with both orientations of every triple. The indexed dataset also carries the
-lookup structures needed later: known-answer sets for filtered ranking and
-membership keys for triple-level precision scoring.
+lookup structures needed later: a CSR known-answer index for filtered ranking
+and membership keys for triple-level precision scoring.
 """
 
 from __future__ import annotations
@@ -257,10 +257,11 @@ class IndexedDataset:
     valid: np.ndarray
     test: np.ndarray
     num_raw_train: int
-    _answer_keys: np.ndarray = field(init=False, repr=False)
-    _answer_objects: np.ndarray = field(init=False, repr=False)
     correct_keys: np.ndarray = field(init=False, repr=False)
     predict_keys: np.ndarray = field(init=False, repr=False)
+    _answer_pairs: np.ndarray = field(init=False, repr=False)
+    _answer_offsets: np.ndarray = field(init=False, repr=False)
+    answer_objects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vocab = self.vocab
@@ -275,14 +276,19 @@ class IndexedDataset:
             len(p) for p in both
         ) else np.empty((0, 3), dtype=np.int32)
 
-        keys = _encode_pairs(all_triples[:, 0], all_triples[:, 1], vocab.num_relations)
-        order = np.lexsort((all_triples[:, 2], keys))
-        self._answer_keys = keys[order]
-        self._answer_objects = all_triples[order, 2].astype(np.int32)
-
         self.correct_keys = np.unique(
             _encode_triples(all_triples, vocab.num_relations, vocab.num_entities)
         )
+        # Known-answer index in CSR form, read off the sorted, deduplicated
+        # triple keys: the objects of pair _answer_pairs[i] are
+        # answer_objects[_answer_offsets[i]:_answer_offsets[i + 1]], ascending.
+        pairs = self.correct_keys // vocab.num_entities
+        starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+        self._answer_pairs = pairs[starts]
+        self._answer_offsets = np.append(starts, len(pairs))
+        self.answer_objects = (self.correct_keys - pairs * vocab.num_entities).astype(np.int32)
+        for index in (self._answer_pairs, self._answer_offsets, self.answer_objects):
+            index.flags.writeable = False
         eval_triples = (
             np.concatenate([part for part in eval_parts if len(part)])
             if any(len(p) for p in eval_parts)
@@ -299,11 +305,18 @@ class IndexedDataset:
             raise ValueError(f"unknown split {name!r}") from None
 
     def known_answers(self, subject: int, relation: int) -> np.ndarray:
-        """All objects o with (subject, relation, o) in any split; may be empty."""
-        key = subject * self.vocab.num_relations + relation
-        lo = np.searchsorted(self._answer_keys, key, side="left")
-        hi = np.searchsorted(self._answer_keys, key, side="right")
-        return np.unique(self._answer_objects[lo:hi])
+        """All objects o with (subject, relation, o) in any split, ascending; may be empty."""
+        (lo,), (hi,) = self.answer_spans([subject], [relation])
+        return self.answer_objects[lo:hi].copy()
+
+    def answer_spans(self, subjects, relations) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` per (subject, relation) query: its known answers are
+        ``answer_objects[lo[i]:hi[i]]``, distinct and ascending (an empty span
+        when the pair has none)."""
+        keys = _encode_pairs(subjects, relations, self.vocab.num_relations)
+        found_lo = np.searchsorted(self._answer_pairs, keys, side="left")
+        found_hi = np.searchsorted(self._answer_pairs, keys, side="right")
+        return self._answer_offsets[found_lo], self._answer_offsets[found_hi]
 
 
 def index_dataset(

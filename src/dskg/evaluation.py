@@ -6,6 +6,17 @@ reported metrics aggregate 2x the split size. Ranking is filtered: known
 correct answers other than the queried one are ignored. Score vectors are
 softmax probabilities computed in float64 so repeated runs and downstream
 score recomputations are exactly reproducible.
+
+All four reports (plain and enhanced, entity and cascade) come from one pass,
+``evaluate_variants``: each chunk of queries is scored once, and its
+``(chunk, N)`` probability block is ranked in one step against the dataset's
+CSR known-answer index. Enhancement raises the relation matrix to alpha once
+per pass, only for the reverse relations the queries use. Memory stays
+bounded by the chunk: a few ``(chunk, N)`` temporaries per worker, plus that
+``(U, N)`` reverse-power block. ``evaluate_entity_prediction`` and
+``evaluate_cascade`` are views of the same pass that compute only what their
+one report needs. ``filtered_rank`` and ``unfiltered_rank`` remain the
+one-query definitions the batched ranks are tested against.
 """
 
 from __future__ import annotations
@@ -186,13 +197,164 @@ def _map_threaded(fn, spans, workers: int):
             yield pending.popleft().result()
 
 
+def filtered_ranks(block, golds, lo, hi, objects, *, pessimistic: bool = False) -> np.ndarray:
+    """``filtered_rank`` of every row of a ``(m, N)`` score block at once.
+
+    Row i ranks ``golds[i]`` against the known answers
+    ``objects[lo[i]:hi[i]]``, which must be distinct (as
+    ``IndexedDataset.answer_spans`` gives them). The block is compared with
+    its gold column once, and the known answers' hits are taken off with one
+    masked gather.
+    """
+    golds = np.asarray(golds, dtype=np.int64)
+    better = _beats_gold(block, golds, pessimistic)
+    lengths = hi - lo
+    owner = np.repeat(np.arange(len(golds)), lengths)  # the row of each known answer
+    shift = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+    cols = objects[np.arange(len(owner)) + shift]
+    missing = np.ones(len(golds), dtype=bool)
+    missing[owner[cols == golds[owner]]] = False
+    if missing.any():
+        gold = golds[np.argmax(missing)]
+        raise ValueError(f"gold label {gold} missing from the known-answer set")
+    # every gold is among its row's known answers, so it is never counted
+    known_better = np.bincount(owner[better[owner, cols]], minlength=len(golds))
+    return 1 + np.count_nonzero(better, axis=1) - known_better
+
+
+def unfiltered_ranks(block, golds, *, pessimistic: bool = False) -> np.ndarray:
+    """``unfiltered_rank`` of every row of a score block, from one compare."""
+    better = np.count_nonzero(_beats_gold(block, golds, pessimistic), axis=1)
+    return better if pessimistic else 1 + better
+
+
+def _beats_gold(block, golds, pessimistic: bool) -> np.ndarray:
+    gold_scores = block[np.arange(len(golds)), golds][:, None]
+    return block >= gold_scores if pessimistic else block > gold_scores
+
+
 def _both_direction_queries(dataset: IndexedDataset, split: str):
     triples = dataset.split(split)
+    if len(triples) == 0:
+        raise ValueError(f"split {split!r} has no triples to evaluate")
     rev = dataset.vocab.reverse_of
     subjects = np.concatenate([triples[:, 0], triples[:, 2]])
     relations = np.concatenate([triples[:, 1], rev[triples[:, 1]]])
     golds = np.concatenate([triples[:, 2], triples[:, 0]])
     return subjects, relations, golds
+
+
+VARIANTS = ("entity_plain", "entity_enhanced", "cascade_plain", "cascade_enhanced")
+
+
+def _reverse_power_block(params, relations, rev, alpha: float, workers: int):
+    """Rows of ``reverse_prob ** alpha`` for the reverse relations ``relations`` use.
+
+    Returns the C-contiguous ``(U, N)`` block over the U distinct reverse
+    relations, and each query's row in it. The ``(N, R)`` relation matrix is
+    built once, read in cache-sized row blocks as the block is filled, and
+    dropped on return.
+    """
+    used, row_of = np.unique(rev[relations], return_inverse=True)
+    matrix = relation_prob_matrix(params, workers=workers)
+    power = np.empty((len(used), len(matrix)))
+
+    def fill(span):
+        lo, hi = span
+        np.power(matrix[lo:hi, used].T, alpha, out=power[:, lo:hi])
+
+    deque(map_chunks(fill, len(matrix), 512, workers), maxlen=0)
+    return power, row_of
+
+
+def _rank_pass(params, dataset, *, plain, alpha, relation, split, chunk, pessimistic, workers):
+    """One scoring of each chunk of the split's queries, ranked every way asked.
+
+    Returns a dict with the filtered entity ranks ``"plain"`` (if ``plain``),
+    ``"enhanced"`` (if ``alpha`` is not None) and the unfiltered relation
+    ranks ``"relation"`` (if ``relation``). Temporaries are bounded by
+    ``chunk`` x N per worker, plus the reverse-power block when enhancing.
+    """
+    subjects, relations, golds = _both_direction_queries(dataset, split)
+    lo, hi = dataset.answer_spans(subjects, relations)
+    objects = dataset.answer_objects
+    if alpha is not None:
+        power, power_row = _reverse_power_block(
+            params, relations, dataset.vocab.reverse_of, alpha, workers
+        )
+
+    def rank_span(span):
+        q = slice(*span)
+        probs = entity_scores_batch(params, subjects[q], relations[q])
+        out = {}
+        if plain:
+            out["plain"] = filtered_ranks(
+                probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
+            )
+        if alpha is not None:
+            probs = np.multiply(power[power_row[q]], probs, out=probs)
+            out["enhanced"] = filtered_ranks(
+                probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
+            )
+        if relation:
+            out["relation"] = unfiltered_ranks(
+                relation_scores_batch(params, subjects[q]), relations[q], pessimistic=pessimistic
+            )
+        return out
+
+    parts = list(map_chunks(rank_span, len(subjects), chunk, workers))
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def evaluate_variants(
+    params: ModelParams,
+    dataset: IndexedDataset,
+    variants: Iterable[str] = VARIANTS,
+    *,
+    alpha: float = EnhanceConfig.alpha,
+    split: str = "test",
+    chunk: int = 256,
+    keep_ranks: bool = False,
+    pessimistic: bool = False,
+    workers: int = 1,
+) -> dict[str, MetricsReport]:
+    """Reports for the named ``VARIANTS`` from one pass over the split.
+
+    Each chunk is scored once, the relation matrix is built at most once, and
+    only the ranks the asked-for variants need are computed. ``entity_*`` are
+    filtered entity ranks; ``cascade_*`` multiply them by the unfiltered
+    relation rank; ``*_enhanced`` rescore with reverse-relation evidence.
+    """
+    variants = list(variants)
+    unknown = sorted(set(variants) - set(VARIANTS))
+    if unknown:
+        raise ValueError(f"unknown evaluation variants: {unknown}")
+    enhanced = any(name.endswith("_enhanced") for name in variants)
+    if enhanced:
+        EnhanceConfig(alpha=alpha)  # validates alpha
+    ranks = _rank_pass(
+        params, dataset,
+        plain=any(name.endswith("_plain") for name in variants),
+        alpha=alpha if enhanced else None,
+        relation=any(name.startswith("cascade_") for name in variants),
+        split=split, chunk=chunk, pessimistic=pessimistic, workers=workers,
+    )
+    reports = {}
+    for name in variants:
+        family, kind = name.split("_")
+        if family == "entity":
+            reports[name] = metrics_from_ranks(ranks[kind], keep_ranks=keep_ranks)
+        else:
+            reports[name] = metrics_from_ranks(
+                ranks[kind] * ranks["relation"],
+                keep_ranks=keep_ranks, relation_ranks=ranks["relation"],
+            )
+    return reports
+
+
+def _one_variant(family, params, dataset, enhance, **options) -> MetricsReport:
+    name = f"{family}_{'enhanced' if enhance.enabled else 'plain'}"
+    return evaluate_variants(params, dataset, [name], alpha=enhance.alpha, **options)[name]
 
 
 def evaluate_entity_prediction(
@@ -207,27 +369,10 @@ def evaluate_entity_prediction(
     workers: int = 1,
 ) -> MetricsReport:
     """Filtered ranking over both directions of every triple in the split."""
-    subjects, relations, golds = _both_direction_queries(dataset, split)
-    rel_matrix = (
-        relation_prob_matrix(params, workers=workers) if enhance.enabled else None
+    return _one_variant(
+        "entity", params, dataset, enhance, split=split, chunk=chunk,
+        keep_ranks=keep_ranks, pessimistic=pessimistic, workers=workers,
     )
-    rev = dataset.vocab.reverse_of
-
-    def rank_span(span):
-        lo, hi = span
-        probs = entity_scores_batch(params, subjects[lo:hi], relations[lo:hi])
-        if enhance.enabled:
-            probs = rel_matrix[:, rev[relations[lo:hi]]].T ** enhance.alpha * probs
-        out = np.empty(hi - lo, dtype=np.int64)
-        for i in range(hi - lo):
-            known = dataset.known_answers(int(subjects[lo + i]), int(relations[lo + i]))
-            out[i] = filtered_rank(
-                probs[i], int(golds[lo + i]), known, pessimistic=pessimistic
-            )
-        return out
-
-    ranks = np.concatenate(list(map_chunks(rank_span, len(subjects), chunk, workers)))
-    return metrics_from_ranks(ranks, keep_ranks=keep_ranks)
 
 
 def evaluate_cascade(
@@ -242,35 +387,9 @@ def evaluate_cascade(
     workers: int = 1,
 ) -> MetricsReport:
     """Rank products: (unfiltered relation rank) x (filtered entity rank)."""
-    subjects, relations, golds = _both_direction_queries(dataset, split)
-    rel_matrix = (
-        relation_prob_matrix(params, workers=workers) if enhance.enabled else None
-    )
-    rev = dataset.vocab.reverse_of
-
-    def rank_span(span):
-        lo, hi = span
-        probs = entity_scores_batch(params, subjects[lo:hi], relations[lo:hi])
-        if enhance.enabled:
-            probs = rel_matrix[:, rev[relations[lo:hi]]].T ** enhance.alpha * probs
-        rel_probs = relation_scores_batch(params, subjects[lo:hi])
-        ent = np.empty(hi - lo, dtype=np.int64)
-        rel = np.empty(hi - lo, dtype=np.int64)
-        for i in range(hi - lo):
-            known = dataset.known_answers(int(subjects[lo + i]), int(relations[lo + i]))
-            ent[i] = filtered_rank(
-                probs[i], int(golds[lo + i]), known, pessimistic=pessimistic
-            )
-            rel[i] = unfiltered_rank(
-                rel_probs[i], int(relations[lo + i]), pessimistic=pessimistic
-            )
-        return ent, rel
-
-    parts = list(map_chunks(rank_span, len(subjects), chunk, workers))
-    entity_ranks = np.concatenate([p[0] for p in parts])
-    relation_ranks = np.concatenate([p[1] for p in parts])
-    return metrics_from_ranks(
-        entity_ranks * relation_ranks, keep_ranks=keep_ranks, relation_ranks=relation_ranks
+    return _one_variant(
+        "cascade", params, dataset, enhance, split=split, chunk=chunk,
+        keep_ranks=keep_ranks, pessimistic=pessimistic, workers=workers,
     )
 
 

@@ -242,6 +242,25 @@ class TestEval:
         assert str(bad) in lines[0]
 
 
+    def test_empty_split_is_one_line_value_error(self, tmp_path, capsys):
+        splits = write_tiny_splits(tmp_path)
+        (splits / "valid.txt").write_text("", encoding="utf-8")
+        dataset = cli.load_any_dataset(splits)
+        checkpoint = tmp_path / "untrained.dskg"
+        model.save_checkpoint(
+            model.init_params(dataset.vocab.num_entities, dataset.vocab.num_relations, 4, 1),
+            checkpoint,
+        )
+        code, _, err = run_cli(
+            capsys, "eval", "--checkpoint", str(checkpoint), "--data", str(splits),
+            "--out", str(tmp_path / "r"), "--split", "valid",
+        )
+        assert code == 1
+        assert err.strip().split("\n") == [
+            "error\tValueError\tsplit 'valid' has no triples to evaluate"
+        ]
+
+
 class TestPredictTriples:
     def test_outputs_and_formats(self, trained, tmp_path, capsys):
         dataset, checkpoint = trained

@@ -20,6 +20,45 @@ labels = st.text(alphabet="abcdefghij0123456789", min_size=1, max_size=4)
 raw_triples = st.builds(RawTriple, labels, labels, labels)
 
 
+small_triples = st.builds(
+    RawTriple, st.sampled_from("abcde"), st.sampled_from("pq"), st.sampled_from("abcde")
+)
+
+
+def stored_answers(ds, subject, relation):
+    """``np.unique`` of every object stored for (subject, relation), over all
+    splits and both orientations: the definition of a known-answer set."""
+    rev = ds.vocab.reverse_of
+    parts = [ds.train]
+    for split in (ds.valid, ds.test):
+        parts += [split, np.column_stack([split[:, 2], rev[split[:, 1]], split[:, 0]])]
+    stored = np.concatenate(parts).astype(np.int32)
+    return np.unique(stored[(stored[:, 0] == subject) & (stored[:, 1] == relation), 2])
+
+
+def check_answer_index(ds):
+    """known_answers and answer_spans agree with ``stored_answers`` on every key."""
+    vocab = ds.vocab
+    subjects, relations = np.divmod(
+        np.arange(vocab.num_entities * vocab.num_relations), vocab.num_relations
+    )
+    lo, hi = ds.answer_spans(subjects, relations)
+    for s, r, a, b in zip(subjects, relations, lo, hi):
+        expected = stored_answers(ds, s, r)
+        answers = ds.known_answers(int(s), int(r))
+        assert answers.dtype == expected.dtype and np.array_equal(answers, expected)
+        assert np.array_equal(ds.answer_objects[a:b], expected)
+    for name in ("train", "valid", "test"):
+        triples = ds.split(name)
+        for s, r in ((triples[:, 0], triples[:, 1]),
+                     (triples[:, 2], vocab.reverse_of[triples[:, 1]])):
+            lo, hi = ds.answer_spans(s, r)
+            for i in range(len(s)):
+                assert np.array_equal(
+                    ds.answer_objects[lo[i]:hi[i]], ds.known_answers(int(s[i]), int(r[i]))
+                )
+
+
 class TestParse:
     def test_basic_line(self):
         out = parse_triples(["USA\tcontains\tNewYorkCity"])
@@ -153,6 +192,34 @@ class TestIndexedDataset:
         # head direction through the reverse relation as well
         for s, r, o in ds.test:
             assert s in ds.known_answers(int(o), ds.vocab.reverse(int(r)))
+
+    def test_answer_index_dedups_repeats_and_keeps_empty_keys(self):
+        ds = index_dataset(
+            parse_triples(["a\tp\tb", "a\tp\tc", "b\tq\tc"]),
+            valid=parse_triples(["a\tp\tb"]),  # repeats a train triple
+            test=parse_triples(["b\tq\tc", "c\tp\ta"]),  # one repeat, one new
+        )
+        ids, rel = ds.vocab.entity_ids, ds.vocab.relation_ids
+        answers = ds.known_answers(ids["a"], rel["p"])
+        assert answers.dtype == np.int32
+        assert answers.tolist() == sorted([ids["b"], ids["c"]])
+        empty = ds.known_answers(ids["c"], rel["q"])
+        assert empty.dtype == np.int32 and len(empty) == 0
+        check_answer_index(ds)
+
+    @given(st.lists(small_triples, min_size=1, max_size=12), st.data())
+    def test_answer_index_matches_stored_objects(self, train, draw):
+        entities = sorted({t.subject for t in train} | {t.object for t in train})
+        relations = sorted({t.relation for t in train})
+        eval_triples = st.lists(
+            st.one_of(
+                st.sampled_from(train),  # the same triple in train and an eval split
+                st.builds(RawTriple, st.sampled_from(entities), st.sampled_from(relations),
+                          st.sampled_from(entities)),
+            ),
+            max_size=6,
+        )
+        check_answer_index(index_dataset(train, draw.draw(eval_triples), draw.draw(eval_triples)))
 
     def test_unknown_label_raises(self):
         train = parse_triples(["a\tp\tb"])

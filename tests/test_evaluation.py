@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_params
-from dskg import evaluation
-from dskg.data import RawTriple, index_dataset
+from dskg import cli, evaluation
+from dskg.data import RawTriple, augment_reverse, index_dataset, save_dataset
 from dskg.evaluation import (
     EnhanceConfig,
     enhance_scores,
@@ -15,12 +15,14 @@ from dskg.evaluation import (
     evaluate_cascade,
     evaluate_entity_prediction,
     filtered_rank,
+    filtered_ranks,
     metrics_from_ranks,
     relation_prob_matrix,
     relation_scores,
     unfiltered_rank,
+    unfiltered_ranks,
 )
-from dskg.model import forward_triple, init_params, logits
+from dskg.model import forward_triple, init_params, logits, save_checkpoint
 
 
 def oracle_filtered_rank(scores, gold, known, pessimistic=False):
@@ -231,6 +233,54 @@ class TestFilteredRank:
         assert unfiltered_rank(scores, 1, pessimistic=True) == 3
 
 
+def repeats_dataset(rng, num_entities=8):
+    """Random triples, plus a relation with one answer per key and a test
+    triple that is also a training triple."""
+    names = [f"e{i}" for i in range(num_entities)]
+
+    def triples(count):
+        picks = zip(*(rng.integers(0, high, count) for high in (num_entities, 2, num_entities)))
+        return [RawTriple(names[s], f"r{r}", names[o]) for s, r, o in picks]
+
+    train = [RawTriple(names[i], f"r{i % 2}", names[(i + 1) % num_entities])
+             for i in range(num_entities)]
+    train += [RawTriple("e0", "solo", "e1")] + triples(10)
+    return index_dataset(train, triples(3), [train[-1]] + triples(3))
+
+
+class TestBatchedRanks:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+    def test_match_the_one_query_oracles(self, seed, levels, pessimistic):
+        rng = np.random.default_rng(seed)
+        ds = repeats_dataset(rng)
+        vocab = ds.vocab
+        queries = np.concatenate(
+            [ds.train, augment_reverse(ds.valid, vocab), augment_reverse(ds.test, vocab)]
+        )
+        subjects, relations, golds = queries.T
+        lo, hi = ds.answer_spans(subjects, relations)
+        assert np.any(hi - lo == 1)
+        # few score levels, so most rows hold long runs of ties
+        entity_block = rng.integers(0, levels, (len(queries), vocab.num_entities)) / levels
+        relation_block = rng.integers(0, levels, (len(queries), vocab.num_relations)) / levels
+        ranks = filtered_ranks(
+            entity_block, golds, lo, hi, ds.answer_objects, pessimistic=pessimistic
+        )
+        relation_ranks = unfiltered_ranks(relation_block, relations, pessimistic=pessimistic)
+        for i, (s, r, o) in enumerate(queries.tolist()):
+            known = ds.known_answers(s, r)
+            assert ranks[i] == filtered_rank(entity_block[i], o, known, pessimistic=pessimistic)
+            assert relation_ranks[i] == unfiltered_rank(
+                relation_block[i], r, pessimistic=pessimistic
+            )
+
+    def test_gold_missing_from_its_known_set_raises(self):
+        block = np.array([[0.1, 0.5, 0.4], [0.2, 0.3, 0.5]])
+        objects = np.array([0, 2, 2], dtype=np.int32)  # row 0 knows {0, 2}, row 1 knows {2}
+        with pytest.raises(ValueError, match="gold label 1 missing from the known-answer set"):
+            filtered_ranks(block, [2, 1], np.array([0, 2]), np.array([2, 3]), objects)
+
+
 class TestEnhancement:
     def test_exact_arithmetic(self):
         refined = enhance_scores([0.25, 0.25, 0.25], [0.001, 0.8, 0.9], alpha=1.0 / 3.0)
@@ -394,3 +444,88 @@ class TestReportFormat:
         assert 0 <= report.hits1 <= report.hits10 <= 100
         assert 0 < report.mrr <= 100
         assert report.mr >= 1
+
+
+class TestScoringNames:
+    """Every eval call scores through the module names a profiler wraps.
+
+    A refactor that scores around ``entity_scores_batch``,
+    ``relation_scores_batch`` or ``relation_prob_matrix`` would move that
+    time out of sight of anything that traces them.
+    """
+
+    CHUNK = 3
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"entity_rows": [], "relation_rows": [], "matrix": 0, "in_matrix": False}
+        originals = {
+            name: getattr(evaluation, name)
+            for name in ("entity_scores_batch", "relation_scores_batch", "relation_prob_matrix")
+        }
+
+        def entity(params, subjects, relations):
+            calls["entity_rows"].append(len(subjects))
+            return originals["entity_scores_batch"](params, subjects, relations)
+
+        def relation(params, subjects):
+            if not calls["in_matrix"]:  # the matrix's own rows are not query scoring
+                calls["relation_rows"].append(len(subjects))
+            return originals["relation_scores_batch"](params, subjects)
+
+        def matrix(*args, **kwargs):
+            calls["matrix"] += 1
+            calls["in_matrix"] = True
+            try:
+                return originals["relation_prob_matrix"](*args, **kwargs)
+            finally:
+                calls["in_matrix"] = False
+
+        monkeypatch.setattr(evaluation, "entity_scores_batch", entity)
+        monkeypatch.setattr(evaluation, "relation_scores_batch", relation)
+        monkeypatch.setattr(evaluation, "relation_prob_matrix", matrix)
+        return calls
+
+    @staticmethod
+    def setup_model(seed=8):
+        ds = random_toy_dataset(np.random.default_rng(seed))
+        params = make_params(
+            num_entities=ds.vocab.num_entities, num_relations=ds.vocab.num_relations
+        )
+        return ds, params
+
+    def chunk_sizes(self, queries, chunk):
+        return sorted(min(chunk, queries - lo) for lo in range(0, queries, chunk))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("evaluate", [evaluate_entity_prediction, evaluate_cascade])
+    @pytest.mark.parametrize("enhanced", [False, True])
+    def test_each_variant_scores_every_chunk(self, calls, evaluate, enhanced, workers):
+        ds, params = self.setup_model()
+        evaluate(params, ds, EnhanceConfig(enabled=enhanced), chunk=self.CHUNK, workers=workers)
+        chunks = self.chunk_sizes(2 * len(ds.test), self.CHUNK)
+        assert sorted(calls["entity_rows"]) == chunks
+        cascade = evaluate is evaluate_cascade
+        assert sorted(calls["relation_rows"]) == (chunks if cascade else [])
+        assert calls["matrix"] == (1 if enhanced else 0)
+
+    def test_cmd_eval_is_one_pass(self, calls, tmp_path, capsys):
+        ds, params = self.setup_model()
+        save_dataset(ds, tmp_path / "data.dskg")
+        save_checkpoint(params, tmp_path / "model.dskg")
+        code = cli.main(["eval", "--checkpoint", str(tmp_path / "model.dskg"),
+                         "--data", str(tmp_path / "data.dskg"), "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        chunks = self.chunk_sizes(2 * len(ds.test), 256)
+        assert calls["matrix"] == 1
+        assert calls["entity_rows"] == chunks and calls["relation_rows"] == chunks
+
+    @pytest.mark.parametrize("evaluate", [evaluate_entity_prediction, evaluate_cascade])
+    @pytest.mark.parametrize("enhanced", [False, True])
+    def test_empty_split_named_before_any_scoring(self, calls, evaluate, enhanced):
+        train = [RawTriple("a", "p", "b"), RawTriple("b", "p", "c")]
+        ds = index_dataset(train, test=[RawTriple("a", "p", "c")])
+        params = make_params(num_entities=3, num_relations=2)
+        with pytest.raises(ValueError, match="split 'valid' has no triples to evaluate"):
+            evaluate(params, ds, EnhanceConfig(enabled=enhanced), split="valid")
+        assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
