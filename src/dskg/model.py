@@ -388,8 +388,7 @@ def forward_triple(
 def logits(params: ModelParams, h: np.ndarray, kind: str, candidates=None) -> np.ndarray:
     """Unscaled label scores: row(label) . h + bias(label) over one type block.
 
-    ``candidates`` may be None (score the whole lexicon), a 1-d id list, or a
-    per-row (batch, n) id matrix matching a batched ``h``.
+    ``candidates`` may be None (score the whole lexicon) or a 1-d id list.
     """
     if kind == "entity":
         weight, bias = params.entity_out_w, params.entity_out_b
@@ -405,11 +404,7 @@ def logits(params: ModelParams, h: np.ndarray, kind: str, candidates=None) -> np
     cand = np.asarray(candidates)
     if cand.size and (cand.min() < 0 or cand.max() >= weight.shape[0]):
         raise ValueError(f"candidate id out of range for {kind} block")
-    if h.ndim == 1:
-        return weight[cand] @ h + bias[cand]
-    if cand.ndim == 1:
-        return h @ weight[cand].T + bias[cand]
-    return np.einsum("bck,bk->bc", weight[cand], h) + bias[cand]
+    return h @ weight[cand].T + bias[cand]
 
 
 def save_checkpoint(params: ModelParams, path):

@@ -335,6 +335,33 @@ class TestAuditInverse:
         assert out_file.exists()
         assert "pairs=" in stdout
 
+    @pytest.mark.parametrize("damage, message", [
+        pytest.param("duplicate_entity", "duplicate entity label 'a'", id="duplicate_entity"),
+        pytest.param("reverse_out_of_range",
+                     "reverse relation id 999 out of range for 4 relations", id="reverse_out_of_range"),
+    ])
+    def test_damaged_vocabulary_is_one_line_value_error(self, tiny_dir, tmp_path, capsys,
+                                                        damage, message):
+        prep = tmp_path / "prep"
+        code, _, _ = run_cli(capsys, "prepare", "--train", str(tiny_dir / "train.txt"),
+                             "--valid", str(tiny_dir / "valid.txt"),
+                             "--test", str(tiny_dir / "test.txt"), "--out", str(prep))
+        assert code == 0
+        cache = prep / "dataset.dskg"
+        blob = bytearray(cache.read_bytes())
+        # Three one-letter entity labels (a, b, c) follow the 32-byte header,
+        # each as a 4-byte length and its byte; the four relations' reverse
+        # ids come just before the 5 + 1 + 1 triples of the splits.
+        if damage == "duplicate_entity":
+            blob[32 + 5 + 4] = blob[32 + 4]
+        else:
+            at = len(blob) - 12 * 7 - 4 * 4
+            blob[at:at + 4] = (999).to_bytes(4, "little")
+        cache.write_bytes(bytes(blob))
+        code, stdout, err = run_cli(capsys, "audit-inverse", "--data", str(cache))
+        assert code == 1 and stdout == ""
+        assert err.strip().split("\n") == [f"error\tValueError\t{message}"]
+
 
 class TestConfigHelpers:
     def test_parse_config_file(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from collections import Counter
 
@@ -57,6 +58,25 @@ def check_answer_index(ds):
                 assert np.array_equal(
                     ds.answer_objects[lo[i]:hi[i]], ds.known_answers(int(s[i]), int(r[i]))
                 )
+
+
+def check_key_sets(ds, train, valid, test):
+    """correct_keys and predict_keys are the sorted Python sets of the keys of
+    the label triples in every split (and in valid/test), both orientations."""
+    vocab = ds.vocab
+    entity, relation = vocab.entity_ids, vocab.relation_ids
+
+    def keys(*splits):
+        found = set()
+        for t in (t for split in splits for t in split):
+            s, r, o = entity[t.subject], relation[t.relation], entity[t.object]
+            for a, b, c in ((s, r, o), (o, vocab.reverse(r), s)):
+                found.add((a * vocab.num_relations + b) * vocab.num_entities + c)
+        return sorted(found)
+
+    assert ds.correct_keys.dtype == ds.predict_keys.dtype == np.int64
+    assert ds.correct_keys.tolist() == keys(train, valid, test)
+    assert ds.predict_keys.tolist() == keys(valid, test)
 
 
 class TestParse:
@@ -129,11 +149,77 @@ class TestVocabulary:
         assert np.all(rev[rev] == ids)
         assert np.all(rev != ids)
 
+    @given(st.lists(raw_triples, min_size=1, max_size=40))
+    def test_matches_frequency_then_appearance_oracle(self, triples):
+        vocab = build_vocabulary(triples)
+        entities, relations = {}, {}  # label -> [count, first appearance]
+        for i, t in enumerate(triples):
+            for label, slot in ((t.subject, 2 * i), (t.object, 2 * i + 1)):
+                entities.setdefault(label, [0, slot])[0] += 1
+            relations.setdefault(t.relation, [0, i])[0] += 1
+        forward = list(relations.items())
+        for label, (count, first) in forward:
+            relations[label + data.REVERSE_MARKER] = [count, len(triples) + first]
+        for lexicon, labels, freqs in ((entities, vocab.entity_labels, vocab.entity_freqs),
+                                       (relations, vocab.relation_labels, vocab.relation_freqs)):
+            expected = sorted(lexicon, key=lambda label: (-lexicon[label][0], lexicon[label][1]))
+            assert labels == expected
+            assert freqs.dtype == np.int64
+            assert freqs.tolist() == [lexicon[label][0] for label in expected]
+        assert vocab.num_forward_relations == len(forward)
+        for label, _ in forward:
+            fwd = vocab.relation_ids[label]
+            rev = vocab.relation_ids[label + data.REVERSE_MARKER]
+            assert vocab.reverse(fwd) == rev and vocab.reverse(rev) == fwd
+            assert vocab.relation_freqs[fwd] == vocab.relation_freqs[rev]
+            assert vocab.is_reverse[rev] and not vocab.is_reverse[fwd]
+        assert vocab.reverse_of.dtype == np.int32
+
+    def test_reserved_relation_suffix_rejected(self):
+        with pytest.raises(ValueError, match=r"reserved suffix '\^-1': 'p\^-1'"):
+            build_vocabulary([RawTriple("a", "p", "b"), RawTriple("a", "p" + data.REVERSE_MARKER, "b")])
+
+    @pytest.mark.parametrize("kind", ["entity", "relation"])
+    def test_duplicate_label_rejected(self, kind):
+        vocab = build_vocabulary(parse_triples(["a\tp\tb", "a\tq\tc"]))
+        fields = {f.name: getattr(vocab, f.name) for f in dataclasses.fields(vocab) if f.init}
+        labels = fields[f"{kind}_labels"] = list(fields[f"{kind}_labels"])
+        labels[1] = labels[0]
+        with pytest.raises(ValueError, match=f"duplicate {kind} label {labels[0]!r}"):
+            data.Vocabulary(**fields)
+
+    @pytest.mark.parametrize("reverse_of, message", [
+        pytest.param([1, 999], "reverse relation id 999 out of range for 2 relations", id="high"),
+        pytest.param([-1, 0], "reverse relation id -1 out of range for 2 relations", id="negative"),
+        pytest.param([1, 0, 0], r"reverse map has shape \(3,\), expected \(2,\)", id="length"),
+    ])
+    def test_bad_reverse_map_rejected(self, reverse_of, message):
+        with pytest.raises(ValueError, match=message):
+            data.Vocabulary(
+                entity_labels=["a", "b"],
+                entity_freqs=np.array([1, 1]),
+                relation_labels=["p", "p" + data.REVERSE_MARKER],
+                relation_freqs=np.array([1, 1]),
+                reverse_of=np.array(reverse_of, dtype=np.int32),
+                num_forward_relations=1,
+            )
+
     @given(st.lists(raw_triples, min_size=1, max_size=30))
     def test_index_roundtrip(self, triples):
         vocab = build_vocabulary(triples)
         ids = data.index_triples(triples, vocab)
-        assert data.deindex_triples(ids, vocab) == list(triples)
+        assert ids.dtype == np.int32 and ids.shape == (len(triples), 3)
+        labels = [
+            RawTriple(vocab.entity_labels[s], vocab.relation_labels[r], vocab.entity_labels[o])
+            for s, r, o in ids
+        ]
+        assert labels == list(triples)
+
+    def test_index_unknown_label_names_it(self):
+        vocab = build_vocabulary([RawTriple("a", "p", "b")])
+        with pytest.raises(ValueError, match="label not in vocabulary: 'zz'"):
+            data.index_triples([RawTriple("a", "p", "b"), RawTriple("a", "zz", "b")], vocab)
+        assert data.index_triples([], vocab).shape == (0, 3)
 
 
 class TestAugment:
@@ -194,11 +280,11 @@ class TestIndexedDataset:
             assert s in ds.known_answers(int(o), ds.vocab.reverse(int(r)))
 
     def test_answer_index_dedups_repeats_and_keeps_empty_keys(self):
-        ds = index_dataset(
-            parse_triples(["a\tp\tb", "a\tp\tc", "b\tq\tc"]),
-            valid=parse_triples(["a\tp\tb"]),  # repeats a train triple
-            test=parse_triples(["b\tq\tc", "c\tp\ta"]),  # one repeat, one new
-        )
+        train = parse_triples(["a\tp\tb", "a\tp\tc", "b\tq\tc"])
+        valid = parse_triples(["a\tp\tb"])  # repeats a train triple
+        test = parse_triples(["b\tq\tc", "c\tp\ta"])  # one repeat, one new
+        ds = index_dataset(train, valid, test)
+        check_key_sets(ds, train, valid, test)
         ids, rel = ds.vocab.entity_ids, ds.vocab.relation_ids
         answers = ds.known_answers(ids["a"], rel["p"])
         assert answers.dtype == np.int32
@@ -219,7 +305,17 @@ class TestIndexedDataset:
             ),
             max_size=6,
         )
-        check_answer_index(index_dataset(train, draw.draw(eval_triples), draw.draw(eval_triples)))
+        valid, test = draw.draw(eval_triples), draw.draw(eval_triples)
+        ds = index_dataset(train, valid, test)
+        check_key_sets(ds, train, valid, test)
+        check_answer_index(ds)
+
+    def test_key_sets_without_eval_splits(self):
+        train = parse_triples(["a\tp\tb", "a\tp\tb", "b\tq\ta"])  # one triple twice
+        ds = index_dataset(train)
+        check_key_sets(ds, train, [], [])
+        assert len(ds.predict_keys) == 0
+        check_answer_index(ds)
 
     def test_unknown_label_raises(self):
         train = parse_triples(["a\tp\tb"])
