@@ -35,6 +35,8 @@ class BeamConfig:
     def __post_init__(self):
         if self.stage1_window < 1 or self.stage2_window < 1:
             raise ValueError("beam windows must be >= 1")
+        if self.curve_points < 0:
+            raise ValueError(f"curve_points must be >= 0, got {self.curve_points}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ import typing
 from pathlib import Path
 
 from . import beam, config as cfg, data, evaluation, toygen, training
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint
 
 TRAIN_ALIASES = {"num_layers": "layers"}  # TrainConfig field -> option name
 
@@ -149,13 +149,19 @@ def cmd_train(args) -> int:
         checkpoint_path=out_dir / "checkpoint.dskg",
         progress=print if args.verbose else None,
     )
-    save_checkpoint(result.params, out_dir / "checkpoint.dskg")
     best = "-" if result.best_val_mrr is None else f"{result.best_val_mrr:.4f}"
     print(f"epochs={result.epochs_run}\nbest_val_mrr={best}\ncheckpoint={out_dir / 'checkpoint.dskg'}")
     return 0
 
 
-def _check_compatible(params, dataset):
+def _load_for_scoring(args, table: dict, make_config):
+    """Resolve the options and build their config, so that a bad value fails
+    before the dataset or checkpoint is read; then load both, check that they
+    fit, and echo the options into the output directory."""
+    options = _resolve(args, table)
+    run_config = make_config(options)
+    dataset = load_any_dataset(args.data)
+    params = load_checkpoint(args.checkpoint)
     if (
         params.num_entities != dataset.vocab.num_entities
         or params.num_relations != dataset.vocab.num_relations
@@ -165,20 +171,19 @@ def _check_compatible(params, dataset):
             f"{params.num_entities} entities/{params.num_relations} relations, dataset has "
             f"{dataset.vocab.num_entities}/{dataset.vocab.num_relations}"
         )
-
-
-def cmd_eval(args) -> int:
-    options = _resolve(args, EVAL_OPTIONS)
-    dataset = load_any_dataset(args.data)
-    params = load_checkpoint(args.checkpoint)
-    _check_compatible(params, dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(
         options, out_dir,
         {"checkpoint": str(args.checkpoint), "data": str(args.data), "out": str(out_dir)},
     )
+    return options, run_config, dataset, params, out_dir
 
+
+def cmd_eval(args) -> int:
+    options, _, dataset, params, out_dir = _load_for_scoring(
+        args, EVAL_OPTIONS, lambda opts: evaluation.EnhanceConfig(alpha=opts["alpha"])
+    )
     reports = evaluation.evaluate_variants(
         params, dataset,
         alpha=options["alpha"],
@@ -200,18 +205,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict_triples(args) -> int:
-    options = _resolve(args, PREDICT_OPTIONS)
-    dataset = load_any_dataset(args.data)
-    params = load_checkpoint(args.checkpoint)
-    _check_compatible(params, dataset)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(
-        options, out_dir,
-        {"checkpoint": str(args.checkpoint), "data": str(args.data), "out": str(out_dir)},
+    options, beam_config, dataset, params, out_dir = _load_for_scoring(
+        args, PREDICT_OPTIONS, lambda opts: _config_from(beam.BeamConfig, opts)
     )
-
-    beam_config = _config_from(beam.BeamConfig, options)
     pairs = beam.stage1_pairs(params, beam_config, workers=options["workers"])
     output = beam.stage2_triples(params, pairs, beam_config, workers=options["workers"])
     curve = beam.precision_curve(
@@ -241,8 +237,26 @@ def cmd_audit_inverse(args) -> int:
     return 0
 
 
-def _add_bool(parser, name, help_text):
-    parser.add_argument(name, action=argparse.BooleanOptionalAction, default=None, help=help_text)
+# Help text for the option flags whose name does not say enough.
+_HELP = {
+    "arch": "one of " + ", ".join(training.ARCH_CHOICES),
+    "precision": "one of " + ", ".join(training.PRECISION_CHOICES),
+    "relation_loss": "include the relation-prediction loss term",
+    "shared_negatives": "share one negative set across each batch",
+    "sampling_correction": "subtract log sampling probabilities from logits",
+    "pessimistic": "count score ties against the gold label",
+    "dump_ranks": "write per-query rank dumps",
+    "canonicalize": "fold reverse-relation outputs onto their forward form",
+}
+
+
+def _add_options(parser, table: dict):
+    """One ``--key-with-dashes`` flag per option, kept as the raw string (or a
+    bool switch): ``_resolve`` parses it the way it parses file and env values."""
+    for key, (kind, _) in table.items():
+        action = argparse.BooleanOptionalAction if kind is bool else "store"
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, action=action,
+                            default=None, help=_HELP.get(key))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,22 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--keep-prob", dest="keep_prob", type=float, default=None)
-    p.add_argument("--entity-negatives", dest="entity_negatives", type=int, default=None)
-    p.add_argument("--relation-negatives", dest="relation_negatives", type=int, default=None)
-    p.add_argument("--arch", choices=training.ARCH_CHOICES, default=None)
-    _add_bool(p, "--relation-loss", "include the relation-prediction loss term")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--eval-interval", dest="eval_interval", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_bool(p, "--shared-negatives", "share one negative set across each batch")
-    _add_bool(p, "--sampling-correction", "subtract log sampling probabilities from logits")
-    p.add_argument("--precision", choices=training.PRECISION_CHOICES, default=None)
+    _add_options(p, TRAIN_OPTIONS)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="write the four ranking reports for a checkpoint")
@@ -297,10 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--split", choices=("valid", "test"), default="test")
-    p.add_argument("--alpha", type=float, default=None)
-    _add_bool(p, "--pessimistic", "count score ties against the gold label")
-    p.add_argument("--workers", type=int, default=None)
-    _add_bool(p, "--dump-ranks", "write per-query rank dumps")
+    _add_options(p, EVAL_OPTIONS)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict-triples", help="two-stage beam search over whole triples")
@@ -308,11 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--stage1-window", dest="stage1_window", type=int, default=None)
-    p.add_argument("--stage2-window", dest="stage2_window", type=int, default=None)
-    _add_bool(p, "--canonicalize", "fold reverse-relation outputs onto their forward form")
-    p.add_argument("--curve-points", dest="curve_points", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    _add_options(p, PREDICT_OPTIONS)
     p.set_defaults(fn=cmd_predict_triples)
 
     p = sub.add_parser("audit-inverse", help="report train/test swap-overlap per relation pair")

@@ -2,8 +2,9 @@
 
 Option values resolve in increasing precedence: built-in defaults, then a
 key=value config file, then ``DSKG_``-prefixed environment variables, then
-command-line flags. Every command writes the fully resolved configuration it
-ran with next to its outputs.
+command-line flags. Values from all three are parsed one way, by ``coerce``
+and the option's type. Every command writes the fully resolved configuration
+it ran with next to its outputs.
 """
 
 from __future__ import annotations
@@ -40,22 +41,24 @@ def env_overrides(keys, environ=None) -> dict[str, str]:
     return out
 
 
-def coerce(value, target_type):
-    """Convert a string option to its declared type; booleans accept 1/0/true/false."""
-    if value is None or not isinstance(value, str):
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def coerce(value, target_type, key: str):
+    """Convert a string value of option ``key`` to its declared type.
+
+    Booleans accept 1/0, true/false, yes/no and on/off. A value that does not
+    parse is a ValueError naming the option, the value and the type.
+    """
+    if not isinstance(value, str) or target_type is str:
         return value
-    if target_type is bool:
-        lowered = value.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from {value!r}")
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
-    return value
+    try:
+        if target_type is bool:
+            return _BOOLEANS[value.strip().lower()]
+        return target_type(value)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key}: cannot parse {value!r} as {target_type.__name__}") from None
 
 
 def resolve_options(
@@ -65,20 +68,16 @@ def resolve_options(
     environ=None,
     flags: dict | None = None,
 ) -> dict:
-    """Merge defaults < config file < environment < explicit flags."""
+    """Merge defaults < config file < environment < flags, parsing every given value."""
+    file_options = parse_config_file(config_file) if config_file else {}
+    unknown = set(file_options) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flag_options = {key: value for key, value in (flags or {}).items() if value is not None}
     merged = dict(defaults)
-    if config_file:
-        file_options = parse_config_file(config_file)
-        unknown = set(file_options) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_options.items():
-            merged[key] = coerce(value, types[key])
-    for key, value in env_overrides(defaults.keys(), environ).items():
-        merged[key] = coerce(value, types[key])
-    for key, value in (flags or {}).items():
-        if value is not None:
-            merged[key] = value
+    for source in (file_options, env_overrides(defaults.keys(), environ), flag_options):
+        for key, value in source.items():
+            merged[key] = coerce(value, types[key], key)
     return merged
 
 

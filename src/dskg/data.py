@@ -271,6 +271,12 @@ class IndexedDataset:
         vocab = self.vocab
         for split in (self.train, self.valid, self.test):
             _check_bounds(split, vocab)
+        for name, split in (("train", self.train[: self.num_raw_train]),
+                            ("valid", self.valid), ("test", self.test)):
+            reverse = split[vocab.is_reverse[split[:, 1]], 1]
+            if reverse.size:
+                raise ValueError(f"{name} split holds reverse relation "
+                                 f"{vocab.relation_labels[reverse[0]]!r}")
         self.predict_keys = _sorted_unique(_encode_triples(
             augment_reverse(np.concatenate([self.valid, self.test]), vocab),
             vocab.num_relations, vocab.num_entities,

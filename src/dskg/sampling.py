@@ -54,17 +54,14 @@ def log_uniform_sample(
     seen = np.zeros(lexicon_size, dtype=bool)
     if exclude is not None:
         seen[exclude] = True
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    chunk = max(2 * count, 16)
-    while filled < count:
-        for candidate in log_uniform_raw(lexicon_size, chunk, rng):
-            if not seen[candidate]:
-                seen[candidate] = True
-                out[filled] = candidate
-                filled += 1
-                if filled == count:
-                    break
+    out = np.empty(0, dtype=np.int64)
+    while len(out) < count:
+        draws = log_uniform_raw(lexicon_size, max(2 * count, 16), rng)
+        # Each id's first occurrence in draw order, less the ids already seen.
+        fresh = draws[np.sort(np.unique(draws, return_index=True)[1])]
+        fresh = fresh[~seen[fresh]][: count - len(out)]
+        seen[fresh] = True
+        out = np.concatenate([out, fresh])
     return out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from dskg import beam, cli, data, evaluation, model, training
@@ -159,6 +160,23 @@ class TestTrain:
         assert kind == "error" and name == "ValueError"
         assert "eval_interval" in message
 
+    def test_zero_epochs_checkpoint_holds_the_initial_params(self, tiny_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(
+            capsys, "train", "--data", str(tiny_dir), "--out", str(out),
+            "--epochs", "0", "--embed-dim", "4", "--layers", "1", "--seed", "3",
+        )
+        assert code == 0, err
+        assert "best_val_mrr=-" in stdout
+        dataset = cli.load_any_dataset(tiny_dir)
+        initial = model.init_params(
+            dataset.vocab.num_entities, dataset.vocab.num_relations, 4, 1, seed=3
+        )
+        saved = model.load_checkpoint(out / "checkpoint.dskg")
+        assert [name for name, _ in model.named_tensors(saved)] == list(initial.tensors)
+        for (_, got), (_, want) in zip(model.named_tensors(saved), model.named_tensors(initial)):
+            assert np.array_equal(got, want)
+
     def test_training_writes_checkpoint_and_log(self, trained):
         _, checkpoint = trained
         assert checkpoint.exists()
@@ -312,6 +330,36 @@ class TestWorkers:
         assert lines[0] == f"error\tValueError\tworkers must be >= 1, got {workers}"
 
 
+class TestOptionSources:
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("train", "arch", "bogus", "arch must be one of ('dskg', 'shared-2', 'shared-4')"),
+        ("train", "precision", "float16", "precision must be one of ('standard', 'high')"),
+        ("train", "epochs", "x", "epochs: cannot parse 'x' as int"),
+        ("eval", "alpha", "2", "alpha must be in (0, 1) when enhancement is enabled"),
+        ("predict-triples", "curve_points", "-5", "curve_points must be >= 0, got -5"),
+    ])
+    def test_bad_value_is_one_line_error_before_any_read(
+        self, tmp_path, capsys, monkeypatch, command, key, value, message, source
+    ):
+        """A bad value gives the same error whichever source it comes from,
+        and the error comes before the (missing) dataset is looked at."""
+        argv = [command, "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]
+        if command != "train":
+            argv += ["--checkpoint", str(tmp_path / "missing.dskg")]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        elif source == "config":
+            (tmp_path / "run.conf").write_text(f"{key} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(tmp_path / "run.conf")]
+        else:
+            monkeypatch.setenv("DSKG_" + key.upper(), value)
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err.strip().split("\n") == [f"error\tValueError\t{message}"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestAuditInverse:
     def test_stdout_report(self, tmp_path, capsys):
         (tmp_path / "train.txt").write_text(
@@ -339,6 +387,8 @@ class TestAuditInverse:
         pytest.param("duplicate_entity", "duplicate entity label 'a'", id="duplicate_entity"),
         pytest.param("reverse_out_of_range",
                      "reverse relation id 999 out of range for 4 relations", id="reverse_out_of_range"),
+        pytest.param("reverse_in_valid",
+                     "valid split holds reverse relation 'p^-1'", id="reverse_in_valid"),
     ])
     def test_damaged_vocabulary_is_one_line_value_error(self, tiny_dir, tmp_path, capsys,
                                                         damage, message):
@@ -351,12 +401,16 @@ class TestAuditInverse:
         blob = bytearray(cache.read_bytes())
         # Three one-letter entity labels (a, b, c) follow the 32-byte header,
         # each as a 4-byte length and its byte; the four relations' reverse
-        # ids come just before the 5 + 1 + 1 triples of the splits.
+        # ids come just before the 5 + 1 + 1 triples of the splits. Relation
+        # ids are q, p, q^-1, p^-1 (q is the more frequent).
         if damage == "duplicate_entity":
             blob[32 + 5 + 4] = blob[32 + 4]
-        else:
+        elif damage == "reverse_out_of_range":
             at = len(blob) - 12 * 7 - 4 * 4
             blob[at:at + 4] = (999).to_bytes(4, "little")
+        else:  # the valid triple's relation becomes p^-1
+            at = len(blob) - 12 * 2 + 4
+            blob[at:at + 4] = (3).to_bytes(4, "little")
         cache.write_bytes(bytes(blob))
         code, stdout, err = run_cli(capsys, "audit-inverse", "--data", str(cache))
         assert code == 1 and stdout == ""
@@ -385,6 +439,12 @@ class TestConfigHelpers:
         monkeypatch.setenv("DSKG_FLAG", "off")
         merged = resolve_options({"flag": True}, {"flag": bool})
         assert merged["flag"] is False
+
+    @pytest.mark.parametrize("kind, value", [(int, "1.5"), (float, "x"), (bool, "maybe")])
+    def test_unparsable_value_names_option_value_and_type(self, kind, value):
+        message = f"^opt: cannot parse '{value}' as {kind.__name__}$"
+        with pytest.raises(ValueError, match=message):
+            resolve_options({"opt": None}, {"opt": kind}, flags={"opt": value})
 
     def test_write_resolved_sorted(self, tmp_path):
         path = tmp_path / "config.resolved"

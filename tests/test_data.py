@@ -322,6 +322,14 @@ class TestIndexedDataset:
         with pytest.raises(ValueError):
             index_dataset(train, valid=[RawTriple("zzz", "p", "b")])
 
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_reverse_relation_in_split_rejected(self, split):
+        vocab = build_vocabulary([RawTriple("a", "p", "b")])
+        splits = {"train": [RawTriple("a", "p", "b")], "valid": [], "test": []}
+        splits[split] = [RawTriple("b", "p^-1", "a")]
+        with pytest.raises(ValueError, match=rf"^{split} split holds reverse relation 'p\^-1'$"):
+            index_dataset(splits["train"], splits["valid"], splits["test"], vocab=vocab)
+
     def test_train_holds_both_orientations(self, tiny_dataset):
         ds = tiny_dataset
         assert len(ds.train) == 2 * ds.num_raw_train

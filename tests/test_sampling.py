@@ -106,3 +106,67 @@ class TestDistribution:
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         critical = stats.chi2.ppf(1 - 0.001, df=lexicon_size - 1)
         assert chi2 < critical, f"chi2={chi2:.1f} exceeds critical {critical:.1f}"
+
+
+def rejection_oracle(lexicon_size, count, exclude, rng):
+    """The rejection path as a per-candidate loop: whole chunks of raw draws,
+    each accepted in draw order unless already taken or excluded.
+    Returns the ids and the number of chunks drawn."""
+    seen = np.zeros(lexicon_size, dtype=bool)
+    if exclude is not None:
+        seen[exclude] = True
+    out, chunks = [], 0
+    while len(out) < count:
+        chunks += 1
+        for candidate in log_uniform_raw(lexicon_size, max(2 * count, 16), rng):
+            if len(out) < count and not seen[candidate]:
+                seen[candidate] = True
+                out.append(int(candidate))
+    return np.array(out, dtype=np.int64), chunks
+
+
+class TestRejectionPath:
+    def test_pinned_draws_and_generator_state(self):
+        cases = multi_chunk = 0
+        for lexicon_size in (3, 7, 20, 101, 1000, 14541):
+            for count in sorted({1, 2, lexicon_size // 8, lexicon_size // 3, lexicon_size // 2}):
+                for exclude in (None, 0, lexicon_size - 1):
+                    if not 1 <= count <= lexicon_size // 2:  # the rejection path's range
+                        continue
+                    for seed in range(3):
+                        want_rng = np.random.default_rng(seed)
+                        got_rng = np.random.default_rng(seed)
+                        want, chunks = rejection_oracle(lexicon_size, count, exclude, want_rng)
+                        got = log_uniform_sample(lexicon_size, count, exclude, got_rng)
+                        assert got.dtype == np.int64
+                        np.testing.assert_array_equal(got, want)
+                        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                        cases += 1
+                        multi_chunk += chunks > 1
+        assert cases > 200 and multi_chunk > 20
+
+
+class TestDistinctLaw:
+    @pytest.mark.parametrize("count", [2, 4], ids=["rejection", "renormalized_choice"])
+    @pytest.mark.parametrize("exclude", [None, 1])
+    def test_ordered_pair_law(self, count, exclude):
+        """The first two ids follow successive renormalized draws:
+        P(i, j) = q_i q_j / (1 - q_i), q the log-uniform law without ``exclude``."""
+        lexicon_size, trials = 6, 20_000
+        rng = np.random.default_rng(count * 10 + (exclude or 0))
+        q = log_uniform_probs(lexicon_size)
+        if exclude is not None:
+            q[exclude] = 0.0
+        q /= q.sum()
+        expected = q[:, None] * q[None, :] / (1.0 - q[:, None])
+        np.fill_diagonal(expected, 0.0)
+        observed = np.zeros((lexicon_size, lexicon_size))
+        for _ in range(trials):
+            first, second = log_uniform_sample(lexicon_size, count, exclude, rng)[:2]
+            observed[first, second] += 1
+        cells = expected > 0
+        assert observed[~cells].sum() == 0
+        expected = expected[cells] * trials
+        chi2 = float(((observed[cells] - expected) ** 2 / expected).sum())
+        critical = stats.chi2.ppf(1 - 0.001, df=cells.sum() - 1)
+        assert chi2 < critical, f"chi2={chi2:.1f} exceeds critical {critical:.1f}"
