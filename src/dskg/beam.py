@@ -180,12 +180,12 @@ class CurvePoint:
 def precision_curve(
     output: ScoredTriples,
     dataset: IndexedDataset,
-    sample_points=None,
     *,
     canonicalize: bool = True,
     max_points: int = 1000,
 ) -> list[CurvePoint]:
-    """Precision over the top-n outputs for a grid of n values.
+    """Precision over the top-n outputs, at up to ``max_points`` evenly spaced
+    n plus the last one.
 
     n_corr counts outputs that are facts in any split, n_pred those in the
     valid/test splits, n_error the rest; precision = n_pred / (n_pred +
@@ -213,16 +213,11 @@ def precision_curve(
     total = len(keys)
     if total == 0:
         return []
-    if sample_points is None:
-        grid = np.unique(
-            np.concatenate(
-                [np.linspace(1, total, num=min(max_points, total)).astype(np.int64), [total]]
-            )
+    grid = np.unique(
+        np.concatenate(
+            [np.linspace(1, total, num=min(max_points, total)).astype(np.int64), [total]]
         )
-    else:
-        grid = np.unique(np.asarray(sample_points, dtype=np.int64))
-        if len(grid) and (grid.min() < 1 or grid.max() > total):
-            raise ValueError("sample points must lie in 1..len(output)")
+    )
 
     curve = []
     for n in grid:

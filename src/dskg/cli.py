@@ -138,6 +138,7 @@ def cmd_train(args) -> int:
     options = _resolve(args, TRAIN_OPTIONS)
     train_config = _config_from(training.TrainConfig, options, TRAIN_ALIASES)
     dataset = load_any_dataset(args.data)
+    train_config.resolve_negatives(dataset.vocab.num_entities, dataset.vocab.num_relations)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(options, out_dir, {"data": str(args.data), "out": str(out_dir)})
@@ -160,6 +161,8 @@ def _load_for_scoring(args, table: dict, make_config):
     fit, and echo the options into the output directory."""
     options = _resolve(args, table)
     run_config = make_config(options)
+    if options["workers"] < 1:
+        raise ValueError(f"workers must be >= 1, got {options['workers']}")
     dataset = load_any_dataset(args.data)
     params = load_checkpoint(args.checkpoint)
     if (

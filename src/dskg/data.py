@@ -5,13 +5,13 @@ per line. Entities and relations get integer ids in descending order of
 training frequency (ties broken by first appearance), every forward relation
 gets an artificial reverse partner, and the training split is materialized
 with both orientations of every triple. The indexed dataset also carries the
-lookup structures needed later: a CSR known-answer index for filtered ranking
-and membership keys for triple-level precision scoring.
+sorted int64 keys of every known triple, which serve both filtered ranking
+and triple-level precision scoring.
 
 Each lexicon is one ``Counter`` read in ``most_common`` order, whose stable
-sort keeps first appearance among equal counts. The membership keys are int64
-triple encodings deduplicated by one sort, and the CSR index is read off the
-sorted keys.
+sort keeps first appearance among equal counts. The triple keys are
+deduplicated by one sort; a (subject, relation) pair's known answers are the
+one run of keys that starts with its pair key, found by binary search.
 """
 
 from __future__ import annotations
@@ -263,8 +263,6 @@ class IndexedDataset:
     num_raw_train: int
     correct_keys: np.ndarray = field(init=False, repr=False)
     predict_keys: np.ndarray = field(init=False, repr=False)
-    _answer_pairs: np.ndarray = field(init=False, repr=False)
-    _answer_offsets: np.ndarray = field(init=False, repr=False)
     answer_objects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -285,16 +283,9 @@ class IndexedDataset:
             _encode_triples(self.train, vocab.num_relations, vocab.num_entities),
             self.predict_keys,
         ]))
-        # Known-answer index in CSR form, read off the sorted, deduplicated
-        # triple keys: the objects of pair _answer_pairs[i] are
-        # answer_objects[_answer_offsets[i]:_answer_offsets[i + 1]], ascending.
-        pairs = self.correct_keys // vocab.num_entities
-        starts = np.flatnonzero(np.diff(pairs, prepend=-1))
-        self._answer_pairs = pairs[starts]
-        self._answer_offsets = np.append(starts, len(pairs))
-        self.answer_objects = (self.correct_keys - pairs * vocab.num_entities).astype(np.int32)
-        for index in (self._answer_pairs, self._answer_offsets, self.answer_objects):
-            index.flags.writeable = False
+        # The object of each key in correct_keys, for gathers over answer_spans.
+        self.answer_objects = (self.correct_keys % vocab.num_entities).astype(np.int32)
+        self.answer_objects.flags.writeable = False
 
     def split(self, name: str) -> np.ndarray:
         try:
@@ -311,10 +302,10 @@ class IndexedDataset:
         """``(lo, hi)`` per (subject, relation) query: its known answers are
         ``answer_objects[lo[i]:hi[i]]``, distinct and ascending (an empty span
         when the pair has none)."""
-        keys = _encode_pairs(subjects, relations, self.vocab.num_relations)
-        found_lo = np.searchsorted(self._answer_pairs, keys, side="left")
-        found_hi = np.searchsorted(self._answer_pairs, keys, side="right")
-        return self._answer_offsets[found_lo], self._answer_offsets[found_hi]
+        n = self.vocab.num_entities
+        # Pair key p owns the triple keys p * n .. p * n + n - 1.
+        first = _encode_pairs(subjects, relations, self.vocab.num_relations) * n
+        return np.searchsorted(self.correct_keys, first), np.searchsorted(self.correct_keys, first + n)
 
 
 def index_dataset(

@@ -9,13 +9,15 @@ score recomputations are exactly reproducible.
 
 All four reports (plain and enhanced, entity and cascade) come from one pass,
 ``evaluate_variants``: each chunk of queries is scored once, and its
-``(chunk, N)`` probability block is ranked in one step against the dataset's
-CSR known-answer index. Enhancement raises the relation matrix to alpha once
-per pass, only for the reverse relations the queries use. Memory stays
-bounded by the chunk: a few ``(chunk, N)`` temporaries per worker, plus that
-``(U, N)`` reverse-power block. ``evaluate_entity_prediction`` and
-``evaluate_cascade`` are views of the same pass that compute only what their
-one report needs. ``filtered_rank`` and ``unfiltered_rank`` remain the
+``(chunk, N)`` probability block is ranked in one step against the known
+answers, which ``IndexedDataset.answer_spans`` finds in the sorted triple
+keys. Enhancement raises the relation matrix to alpha once per pass, only for
+the reverse relations the queries use. Memory stays bounded by the chunk: a
+few ``(chunk, N)`` temporaries per worker, plus that ``(U, N)`` reverse-power
+block. A score that is not finite cannot be ranked: it raises ValueError, so
+a diverged model never reports a perfect rank. ``evaluate_entity_prediction``
+and ``evaluate_cascade`` are views of the same pass that compute only what
+their one report needs. ``filtered_rank`` and ``unfiltered_rank`` remain the
 one-query definitions the batched ranks are tested against.
 """
 
@@ -230,6 +232,10 @@ def unfiltered_ranks(block, golds, *, pessimistic: bool = False) -> np.ndarray:
 
 def _beats_gold(block, golds, pessimistic: bool) -> np.ndarray:
     gold_scores = block[np.arange(len(golds)), golds][:, None]
+    # NaN never beats the gold, so it would read as rank 1. A softmax row is
+    # all finite or all NaN, so its gold column settles the whole row.
+    if not np.all(np.isfinite(gold_scores)):
+        raise ValueError("cannot rank non-finite scores")
     return block >= gold_scores if pessimistic else block > gold_scores
 
 
@@ -264,6 +270,11 @@ def _reverse_power_block(params, relations, rev, alpha: float, workers: int):
         np.power(matrix[lo:hi, used].T, alpha, out=power[:, lo:hi])
 
     deque(map_chunks(fill, len(matrix), 512, workers), maxlen=0)
+    # A NaN entity row puts NaN in one column of every enhanced row, which
+    # the gold-column check misses. The entity's softmax row is all NaN, so
+    # any one row of the block shows it.
+    if not np.all(np.isfinite(power[0])):
+        raise ValueError("cannot rank non-finite scores")
     return power, row_of
 
 

@@ -120,9 +120,6 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         return self._map(np.zeros_like)
 
-    def astype(self, dtype) -> "ModelParams":
-        return self._map(lambda t: t.astype(dtype))
-
 
 def named_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Every trainable tensor with a stable name, in checkpoint order."""
@@ -385,11 +382,8 @@ def forward_triple(
     return h_s[0], h_r[0]
 
 
-def logits(params: ModelParams, h: np.ndarray, kind: str, candidates=None) -> np.ndarray:
-    """Unscaled label scores: row(label) . h + bias(label) over one type block.
-
-    ``candidates`` may be None (score the whole lexicon) or a 1-d id list.
-    """
+def logits(params: ModelParams, h: np.ndarray, kind: str) -> np.ndarray:
+    """Unscaled label scores: row(label) . h + bias(label) over one whole type block."""
     if kind == "entity":
         weight, bias = params.entity_out_w, params.entity_out_b
     elif kind == "relation":
@@ -399,12 +393,7 @@ def logits(params: ModelParams, h: np.ndarray, kind: str, candidates=None) -> np
     h = np.asarray(h)
     if h.shape[-1] != params.embed_dim:
         raise ValueError("hidden vector has wrong width")
-    if candidates is None:
-        return h @ weight.T + bias
-    cand = np.asarray(candidates)
-    if cand.size and (cand.min() < 0 or cand.max() >= weight.shape[0]):
-        raise ValueError(f"candidate id out of range for {kind} block")
-    return h @ weight[cand].T + bias[cand]
+    return h @ weight.T + bias
 
 
 def save_checkpoint(params: ModelParams, path):

@@ -62,8 +62,8 @@ class TrainConfig:
     precision: str = "standard"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
         if self.arch not in ARCH_CHOICES:
@@ -94,9 +94,9 @@ class TrainConfig:
         if n_r is None:
             n_r = min(DEFAULT_NEGATIVES, num_relations - 1)
         if not 1 <= n_e < num_entities:
-            raise ValueError("entity_negatives must be in [1, num_entities)")
+            raise ValueError(f"entity_negatives must be in [1, {num_entities}), got {n_e}")
         if not 1 <= n_r < num_relations:
-            raise ValueError("relation_negatives must be in [1, num_relations)")
+            raise ValueError(f"relation_negatives must be in [1, {num_relations}), got {n_r}")
         return n_e, n_r
 
 
@@ -188,40 +188,42 @@ def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
     return dh
 
 
-def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams):
-    cells1, cells2 = active_cells(params, 0), active_cells(params, 1)
-    gcells1, gcells2 = active_cells(grads, 0), active_cells(grads, 1)
-    num_layers = params.num_layers
+def _backward_stack(cells, gcells, caches, masks, d_out, carried):
+    """One timestep down a stack, the reverse of ``_run_stack``.
 
-    # Relation step first: it feeds gradient back into the entity-step states.
-    carried = [None] * num_layers
-    d_out = dh_r
-    for layer in reversed(range(num_layers)):
-        mask = cache.masks2[layer]
-        dh = d_out if mask is None else d_out * mask
-        dx, dh_prev, dc_prev, g_wx, g_wh, g_b = lstm_backward(
-            cells2[layer], cache.step2[layer], dh, None
-        )
-        gcells2[layer].w_x += g_wx
-        gcells2[layer].w_h += g_wh
-        gcells2[layer].b += g_b
-        carried[layer] = (dh_prev, dc_prev)
-        d_out = dx
-    np.add.at(grads.relation_embed, cache.r_ids, d_out)
-
-    d_out = dh_s
-    for layer in reversed(range(num_layers)):
-        mask = cache.masks1[layer]
-        dh = d_out if mask is None else d_out * mask
+    ``carried[layer]`` is the ``(dh, dc)`` a layer's state gets from the next
+    timestep, or ``(None, None)``. Adds the cells' grads into ``gcells`` and
+    returns the gradient at the stack's input and each layer's ``(dh_prev,
+    dc_prev)`` for the previous timestep.
+    """
+    to_carry = [None] * len(cells)
+    for layer in reversed(range(len(cells))):
         dh_carry, dc_carry = carried[layer]
-        # Step 1 runs from the zero state: w_h gets no gradient here.
-        dx, _, _, g_wx, _, g_b = lstm_backward(
-            cells1[layer], cache.step1[layer], dh + dh_carry, dc_carry
+        dh = d_out if masks[layer] is None else d_out * masks[layer]
+        if dh_carry is not None:
+            dh = dh + dh_carry
+        d_out, dh_prev, dc_prev, g_wx, g_wh, g_b = lstm_backward(
+            cells[layer], caches[layer], dh, dc_carry
         )
-        gcells1[layer].w_x += g_wx
-        gcells1[layer].b += g_b
-        d_out = dx
-    np.add.at(grads.entity_embed, cache.s_ids, d_out)
+        gcells[layer].w_x += g_wx
+        if g_wh is not None:  # None for a step run from the zero state
+            gcells[layer].w_h += g_wh
+        gcells[layer].b += g_b
+        to_carry[layer] = (dh_prev, dc_prev)
+    return d_out, to_carry
+
+
+def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams):
+    # Relation step first: it feeds gradient back into the entity-step states.
+    d_relation, carried = _backward_stack(
+        active_cells(params, 1), active_cells(grads, 1), cache.step2, cache.masks2,
+        dh_r, [(None, None)] * params.num_layers,
+    )
+    np.add.at(grads.relation_embed, cache.r_ids, d_relation)
+    d_entity, _ = _backward_stack(
+        active_cells(params, 0), active_cells(grads, 0), cache.step1, cache.masks1, dh_s, carried
+    )
+    np.add.at(grads.entity_embed, cache.s_ids, d_entity)
 
 
 def _negatives(candidates, labels, lexicon_size, count, shared, rng, kind):
@@ -267,6 +269,8 @@ def batch_loss_and_grads(
     ``dropout_rng`` is given and ``config.keep_prob < 1``.
     """
     batch = np.asarray(batch)
+    if len(batch) == 0:
+        raise ValueError("batch_loss_and_grads requires a non-empty batch")
     subjects, relations, objects = batch[:, 0], batch[:, 1], batch[:, 2]
     batch_size = len(batch)
     keep = config.keep_prob if (dropout_rng is not None and config.keep_prob < 1.0) else None
@@ -320,36 +324,10 @@ def batch_loss_and_grads(
     return mean_loss, grads
 
 
-def backward(params: ModelParams, batch, config: TrainConfig, **kwargs) -> ModelParams:
-    """Gradients of the mean batch loss for every parameter tensor."""
-    if len(np.asarray(batch)) == 0:
-        raise ValueError("backward requires a non-empty batch")
-    _, grads = batch_loss_and_grads(params, batch, config, **kwargs)
-    return grads
-
-
-def triple_loss(
-    params: ModelParams,
-    triple,
-    config: TrainConfig,
-    *,
-    negative_rng: np.random.Generator | None = None,
-    dropout_rng: np.random.Generator | None = None,
-    entity_candidates=None,
-    relation_candidates=None,
-) -> float:
-    """Loss of a single (s, r, o) sequence under the configured variant."""
-    loss, _ = batch_loss_and_grads(
-        params,
-        np.asarray(triple).reshape(1, 3),
-        config,
-        negative_rng=negative_rng,
-        dropout_rng=dropout_rng,
-        entity_candidates=entity_candidates,
-        relation_candidates=relation_candidates,
-        want_grads=False,
-    )
-    return loss
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 16  # elements per block: a few hundred KB per operand
 
 
 @dataclass
@@ -357,23 +335,14 @@ class AdamState:
     step: int
     first: dict
     second: dict
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: ModelParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: ModelParams) -> AdamState:
     return AdamState(
         step=0,
         first={name: np.zeros_like(t) for name, t in named_tensors(params)},
         second={name: np.zeros_like(t) for name, t in named_tensors(params)},
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
-
-
-ADAM_BLOCK = 1 << 16  # elements per block: a few hundred KB per operand
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, learning_rate: float):
@@ -391,7 +360,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, learnin
     so the result is the same bits as evaluating it on whole tensors.
     """
     state.step += 1
-    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     correct1 = 1.0 - beta1 ** state.step
     correct2 = 1.0 - beta2 ** state.step
     buf_a, buf_b = np.empty(ADAM_BLOCK, params.dtype), np.empty(ADAM_BLOCK, params.dtype)
@@ -449,6 +418,7 @@ def train(
     """
     from .evaluation import EnhanceConfig, evaluate_entity_prediction
 
+    config.resolve_negatives(dataset.vocab.num_entities, dataset.vocab.num_relations)
     arch, layers = config.model_arch()
     params = init_params(
         dataset.vocab.num_entities,

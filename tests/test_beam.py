@@ -300,16 +300,10 @@ class TestPrecisionCurve:
                 RawTriple("c", "p", "a"),   # novel -> error
             ],
         )
-        curve = precision_curve(out, ds, sample_points=[1, 2, 3])
+        curve = precision_curve(out, ds)
         assert [p.precision for p in curve] == [1.0, 1.0, 0.5]
         assert [p.n_corr for p in curve] == [1, 2, 2]
         assert all(p.n_corr >= p.n_pred for p in curve)
-
-    def test_sample_points_validated(self):
-        ds = chain_dataset()
-        out = self.make_output(ds, [RawTriple("a", "q", "b")])
-        with pytest.raises(ValueError):
-            precision_curve(out, ds, sample_points=[5])
 
     def test_curve_falls_after_predictable_facts_exhausted(self):
         # a trained model fronts the ranking with held-out facts; once those

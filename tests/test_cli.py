@@ -177,6 +177,25 @@ class TestTrain:
         for (_, got), (_, want) in zip(model.named_tensors(saved), model.named_tensors(initial)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("epochs", ["0", "1"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--entity-negatives", "0", "entity_negatives must be in [1, 3), got 0"),
+        ("--entity-negatives", "3", "entity_negatives must be in [1, 3), got 3"),
+        ("--relation-negatives", "0", "relation_negatives must be in [1, 4), got 0"),
+        ("--relation-negatives", "99", "relation_negatives must be in [1, 4), got 99"),
+    ], ids=["entity_0", "entity_3", "relation_0", "relation_99"])
+    def test_bad_negative_count_is_one_line_error_before_any_write(
+        self, tiny_dir, tmp_path, capsys, epochs, flag, value, message
+    ):
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(
+            capsys, "train", "--data", str(tiny_dir), "--out", str(out),
+            "--epochs", epochs, "--embed-dim", "4", "--layers", "1", flag, value,
+        )
+        assert (code, stdout) == (1, "")
+        assert err.strip().split("\n") == [f"error\tValueError\t{message}"]
+        assert not out.exists()
+
     def test_training_writes_checkpoint_and_log(self, trained):
         _, checkpoint = trained
         assert checkpoint.exists()
@@ -336,8 +355,12 @@ class TestOptionSources:
         ("train", "arch", "bogus", "arch must be one of ('dskg', 'shared-2', 'shared-4')"),
         ("train", "precision", "float16", "precision must be one of ('standard', 'high')"),
         ("train", "epochs", "x", "epochs: cannot parse 'x' as int"),
+        ("train", "learning_rate", "nan", "learning_rate must be positive and finite, got nan"),
+        ("train", "learning_rate", "inf", "learning_rate must be positive and finite, got inf"),
         ("eval", "alpha", "2", "alpha must be in (0, 1) when enhancement is enabled"),
         ("predict-triples", "curve_points", "-5", "curve_points must be >= 0, got -5"),
+        ("eval", "workers", "0", "workers must be >= 1, got 0"),
+        ("predict-triples", "workers", "0", "workers must be >= 1, got 0"),
     ])
     def test_bad_value_is_one_line_error_before_any_read(
         self, tmp_path, capsys, monkeypatch, command, key, value, message, source

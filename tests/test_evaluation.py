@@ -433,6 +433,46 @@ class TestCascade:
             assert cascade.mr >= plain.mr
 
 
+class TestNonFiniteScores:
+    """A model with NaN weights cannot be ranked: NaN never beats the gold
+    score, so without the check it would read as rank 1."""
+
+    @staticmethod
+    def setup_model():
+        ds = random_toy_dataset(np.random.default_rng(4), num_entities=40)
+        params = make_params(
+            num_entities=ds.vocab.num_entities, num_relations=ds.vocab.num_relations
+        )
+        return ds, params
+
+    @pytest.mark.parametrize("variant", evaluation.VARIANTS)
+    def test_nan_entity_weights(self, variant):
+        ds, params = self.setup_model()
+        params.entity_out_w[...] = np.nan
+        with pytest.raises(ValueError, match="cannot rank non-finite scores"):
+            evaluation.evaluate_variants(params, ds, [variant])
+
+    def test_nan_embedding_rows_off_the_queries_break_only_enhancement(self):
+        # These entities are no query's subject, so only the reverse-relation
+        # evidence sees their NaN rows, one column of each enhanced row.
+        ds, params = self.setup_model()
+        off_queries = np.setdiff1d(np.arange(ds.vocab.num_entities), ds.test[:, [0, 2]])
+        assert len(off_queries) > 0
+        params.entity_embed[off_queries] = np.nan
+        evaluation.evaluate_variants(params, ds, ["entity_plain", "cascade_plain"])
+        for variant in ("entity_enhanced", "cascade_enhanced"):
+            with pytest.raises(ValueError, match="cannot rank non-finite scores"):
+                evaluation.evaluate_variants(params, ds, [variant])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_relation_weights_break_the_cascade(self, workers):
+        ds, params = self.setup_model()
+        params.relation_out_w[...] = np.nan
+        evaluation.evaluate_variants(params, ds, ["entity_plain"], workers=workers)
+        with pytest.raises(ValueError, match="cannot rank non-finite scores"):
+            evaluation.evaluate_variants(params, ds, ["cascade_plain"], chunk=3, workers=workers)
+
+
 class TestReportFormat:
     def test_kv_lines_present(self):
         report = metrics_from_ranks([1, 2, 3, 10])

@@ -257,14 +257,6 @@ class TestLogits:
         scores = logits(params, np.zeros(params.embed_dim), "entity")
         assert np.allclose(scores, params.entity_out_b)
 
-    def test_single_candidate(self):
-        params = make_params()
-        h = np.arange(params.embed_dim, dtype=np.float64)
-        out = logits(params, h, "relation", candidates=[2])
-        expected = params.relation_out_w[2] @ h + params.relation_out_b[2]
-        assert out.shape == (1,)
-        assert np.allclose(out[0], expected)
-
     def test_dense_oracle(self):
         params = make_params(embed_dim=3)
         h = np.array([0.3, -1.2, 0.7])
@@ -274,18 +266,6 @@ class TestLogits:
                 params.entity_out_w[label][j] * h[j] for j in range(3)
             ) + params.entity_out_b[label]
             assert np.isclose(out[label], expected, atol=1e-12)
-
-    def test_candidate_order_preserved(self):
-        params = make_params()
-        h = np.ones(params.embed_dim)
-        full = logits(params, h, "entity")
-        picked = logits(params, h, "entity", candidates=[3, 0, 2])
-        assert np.allclose(picked, full[[3, 0, 2]])
-
-    def test_candidate_out_of_range(self):
-        params = make_params()
-        with pytest.raises(ValueError, match="relation"):
-            logits(params, np.zeros(params.embed_dim), "relation", candidates=[99])
 
     def test_unknown_kind(self):
         params = make_params()

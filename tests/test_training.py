@@ -15,11 +15,9 @@ from dskg.training import (
     TrainConfig,
     adam_init,
     adam_step,
-    backward,
     batch_loss_and_grads,
     sampled_softmax_loss,
     train,
-    triple_loss,
 )
 
 
@@ -93,8 +91,8 @@ class TestTripleLoss:
         cand_r = np.array([[1, 0, 3]])
         cand_e = np.array([[4, 0, 2]])
         config = small_config(embed_dim=2)
-        loss = triple_loss(params, (3, 1, 4), config,
-                           entity_candidates=cand_e, relation_candidates=cand_r)
+        loss, _ = batch_loss_and_grads(params, np.array([[3, 1, 4]]), config, want_grads=False,
+                                       entity_candidates=cand_e, relation_candidates=cand_r)
         oracle = self.composed_oracle(params, 3, 1, 4, cand_r[0], cand_e[0], True)
         assert loss == pytest.approx(oracle, abs=1e-12)
 
@@ -102,7 +100,8 @@ class TestTripleLoss:
         params = make_params(embed_dim=2, num_layers=1, num_entities=5)
         cand_e = np.array([[4, 0, 2]])
         config_off = small_config(embed_dim=2, relation_loss=False)
-        loss = triple_loss(params, (3, 1, 4), config_off, entity_candidates=cand_e)
+        loss, _ = batch_loss_and_grads(params, np.array([[3, 1, 4]]), config_off,
+                                       want_grads=False, entity_candidates=cand_e)
         oracle = self.composed_oracle(params, 3, 1, 4, None, cand_e[0], False)
         assert loss == pytest.approx(oracle, abs=1e-12)
 
@@ -110,7 +109,8 @@ class TestTripleLoss:
         params = make_params(num_entities=8, num_relations=6, embed_dim=4)
         rng = np.random.default_rng(0)
         config = small_config()
-        loss = triple_loss(params, (1, 2, 3), config, negative_rng=rng)
+        loss, _ = batch_loss_and_grads(params, np.array([[1, 2, 3]]), config,
+                                       want_grads=False, negative_rng=rng)
         assert np.isfinite(loss) and loss >= 0.0
 
 
@@ -291,8 +291,8 @@ class TestBackward:
         cand_r = np.array([[1, 0, 3], [0, 2, 1]])
         for arch, variant in (("dskg", "dskg"), ("shared", "shared-2")):
             params = make_params(num_layers=2, arch=arch)
-            grads = backward(params, batch, small_config(num_layers=2, arch=variant),
-                             entity_candidates=cand_e, relation_candidates=cand_r)
+            _, grads = batch_loss_and_grads(params, batch, small_config(num_layers=2, arch=variant),
+                                            entity_candidates=cand_e, relation_candidates=cand_r)
             shapes = tensor_shapes(6, 4, 4, 2, arch)
             assert [(n, t.shape) for n, t in named_tensors(grads)] == list(shapes.items())
             assert all(np.all(np.isfinite(t)) for _, t in named_tensors(grads))
@@ -303,10 +303,10 @@ class TestBackward:
         cand_e = np.array([[2, 0, 4], [1, 3, 5]])
         cand_r = np.array([[1, 0, 3], [0, 2, 1]])
         dskg, shared = equalized_pair(make_params(num_layers=2))
-        g_dskg = backward(dskg, batch, small_config(num_layers=2),
-                          entity_candidates=cand_e, relation_candidates=cand_r)
-        g_shared = backward(shared, batch, small_config(num_layers=2, arch="shared-2"),
-                            entity_candidates=cand_e, relation_candidates=cand_r)
+        _, g_dskg = batch_loss_and_grads(dskg, batch, small_config(num_layers=2),
+                                         entity_candidates=cand_e, relation_candidates=cand_r)
+        _, g_shared = batch_loss_and_grads(shared, batch, small_config(num_layers=2, arch="shared-2"),
+                                           entity_candidates=cand_e, relation_candidates=cand_r)
         for layer in range(2):
             for field in ("w_x", "w_h", "b"):
                 both = (g_dskg.tensors[f"entity_cells.{layer}.{field}"]
@@ -335,25 +335,25 @@ class TestBackward:
         batch = np.array([[0, 1, 2]])
         cand_e = np.array([[2, 0, 4]])
         cand_r = np.array([[1, 0, 3]])
-        grads = backward(params, batch, small_config(),
-                         entity_candidates=cand_e, relation_candidates=cand_r)
+        _, grads = batch_loss_and_grads(params, batch, small_config(),
+                                        entity_candidates=cand_e, relation_candidates=cand_r)
         for _, grad in named_tensors(grads):
             assert np.max(np.abs(grad)) < 1e-9
 
     def test_untouched_embedding_rows_zero(self):
         params = make_params(num_entities=6, num_relations=4)
         batch = np.array([[0, 1, 2]])
-        grads = backward(params, batch, small_config(),
-                         entity_candidates=np.array([[2, 3, 4]]),
-                         relation_candidates=np.array([[1, 0, 2]]))
+        _, grads = batch_loss_and_grads(params, batch, small_config(),
+                                        entity_candidates=np.array([[2, 3, 4]]),
+                                        relation_candidates=np.array([[1, 0, 2]]))
         assert np.all(grads.entity_embed[5] == 0)
         assert np.all(grads.relation_embed[3] == 0)
         assert np.any(grads.entity_embed[0] != 0)
 
     def test_empty_batch_rejected(self):
         params = make_params()
-        with pytest.raises(ValueError):
-            backward(params, np.empty((0, 3), dtype=int), small_config())
+        with pytest.raises(ValueError, match="non-empty batch"):
+            batch_loss_and_grads(params, np.empty((0, 3), dtype=int), small_config())
 
 
 class TestAdam:
@@ -412,13 +412,14 @@ class TestAdam:
                 "dskg", 1,
             )
             adam_step(params, grads, state, learning_rate=rate)
-            correct1 = 1.0 - state.beta1 ** step
-            correct2 = 1.0 - state.beta2 ** step
+            beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
+            correct1 = 1.0 - beta1 ** step
+            correct2 = 1.0 - beta2 ** step
             for name, grad in named_tensors(grads):
-                first[name] = state.beta1 * first[name] + (1.0 - state.beta1) * grad
-                second[name] = state.beta2 * second[name] + (1.0 - state.beta2) * (grad * grad)
+                first[name] = beta1 * first[name] + (1.0 - beta1) * grad
+                second[name] = beta2 * second[name] + (1.0 - beta2) * (grad * grad)
                 expected[name] = expected[name] - rate * (first[name] / correct1) / (
-                    np.sqrt(second[name] / correct2) + state.eps
+                    np.sqrt(second[name] / correct2) + training.ADAM_EPS
                 )
         for name, tensor in named_tensors(params):
             assert tensor.dtype == dtype
@@ -519,6 +520,18 @@ class TestTrainLoop:
         assert lines == result.log
         assert all(len(line.split("\t")) == 5 for line in lines)
 
+    @pytest.mark.parametrize("counts, message", [
+        (dict(entity_negatives=0), r"entity_negatives must be in \[1, 4\), got 0"),
+        (dict(relation_negatives=4), r"relation_negatives must be in \[1, 4\), got 4"),
+    ], ids=["entity_zero", "relation_lexicon_size"])
+    def test_bad_negative_counts_rejected_before_the_log_is_opened(
+        self, tiny_dataset, tmp_path, counts, message
+    ):
+        config = small_config(epochs=0, precision="standard", **counts)
+        with pytest.raises(ValueError, match=message):
+            train(tiny_dataset, config, log_path=tmp_path / "train.log")
+        assert not (tmp_path / "train.log").exists()
+
     def test_best_checkpoint_tracks_peak(self, tiny_dataset):
         scores = iter([10.0, 30.0, 20.0, 5.0, 1.0])
 
@@ -549,6 +562,8 @@ class TestConfigValidation:
         "kwargs",
         [
             dict(learning_rate=0.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
             dict(keep_prob=0.0),
             dict(keep_prob=1.5),
             dict(arch="deep"),
