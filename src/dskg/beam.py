@@ -12,6 +12,10 @@ whose ascending order is ascending id order (``e * R + r`` for a pair,
 ``(s * R + r) * N + o`` for a triple), selected by a partition on score and
 sorted only once, at the end. The precision curve tests its outputs against
 the dataset's sorted fact keys by binary search.
+
+Both stages score through ``evaluation.relation_scores_batch`` and
+``entity_scores_batch``, so a model with non-finite logits raises the same
+ValueError as ranking does instead of yielding an empty beam.
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ class _TopK:
     score block is filtered against the cutoff before any key is built, and
     the pool is cut back to ``limit`` by a partition on score plus the
     smallest keys of the tie band at the cutoff; only ``finish`` sorts.
+
+    Scores must be finite: NaN fails every ``>= cutoff`` test and would be
+    dropped without a trace. The stages offer softmax blocks, which
+    ``evaluation._softmax64`` has already checked.
     """
 
     def __init__(self, limit: int):

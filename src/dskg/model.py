@@ -47,8 +47,6 @@ _HEADER = struct.Struct("<B4IB")
 
 MAX_LAYERS = 4
 
-# Gate rows within the stacked weight matrices: input, forget, candidate, output.
-
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -62,6 +60,7 @@ class CellParams:
     a :class:`ModelParams` map, so in-place updates reach the map.
     """
 
+    # Gate rows within the stacked weight matrices: input, forget, candidate, output.
     w_x: np.ndarray  # (4h, input_dim)
     w_h: np.ndarray  # (4h, h)
     b: np.ndarray  # (4h,)

@@ -40,6 +40,15 @@ class ToyConfig:
             raise ValueError("need at least 3 entities")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in [0, 1)")
+        if self.num_chains < 0:
+            raise ValueError(f"num_chains (--chains) must be >= 0, got {self.num_chains}")
+        if self.num_extra_pairs < 0:
+            raise ValueError(
+                f"num_extra_pairs (--extra-pairs) must be >= 0, got {self.num_extra_pairs}"
+            )
+        if self.num_chains == 0 and self.num_extra_pairs == 0:
+            raise ValueError("num_chains (--chains) and num_extra_pairs (--extra-pairs) "
+                             "are both 0, so the graph would be empty")
 
 
 @dataclass

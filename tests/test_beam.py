@@ -222,6 +222,34 @@ class TestStage2:
             assert score > wide_floor or tuple(triple) in wide_set
 
 
+class TestNonFiniteScores:
+    """A NaN or +inf logit fails every ``>= cutoff`` test of the top-k pool, so
+    without the softmax's check the beam would drop it and come back empty."""
+
+    CONFIG = BeamConfig(stage1_window=20, stage2_window=100)
+
+    def test_nan_relation_weights_break_stage1(self):
+        params = toy_params()
+        params.relation_out_w[...] = np.nan
+        with pytest.raises(ValueError, match="cannot rank non-finite scores"):
+            stage1_pairs(params, self.CONFIG, entity_chunk=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_entity_weights_break_stage2(self, workers):
+        params = toy_params()
+        pairs = stage1_pairs(params, self.CONFIG)
+        params.entity_out_w[...] = np.nan
+        with pytest.raises(ValueError, match="cannot rank non-finite scores"):
+            stage2_triples(params, pairs, self.CONFIG, pair_chunk=3, workers=workers)
+
+    def test_one_infinite_entity_bias_breaks_stage2(self):
+        params = toy_params()
+        pairs = stage1_pairs(params, self.CONFIG)
+        params.entity_out_b[2] = np.inf
+        with pytest.raises(ValueError, match="cannot rank non-finite scores"):
+            stage2_triples(params, pairs, self.CONFIG, pair_chunk=3)
+
+
 class TestCanonicalization:
     def test_reverse_triples_folded(self):
         ds = chain_dataset()

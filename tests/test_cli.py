@@ -103,6 +103,22 @@ class TestGenToy:
         assert (a / "train.txt").read_bytes() == (b / "train.txt").read_bytes()
         assert (a / "test.txt").read_bytes() == (b / "test.txt").read_bytes()
 
+    @pytest.mark.parametrize("counts, flag", [
+        (("--chains", "-5"), "--chains"),
+        (("--extra-pairs", "-3"), "--extra-pairs"),
+        (("--chains", "0", "--extra-pairs", "0"), "--extra-pairs"),
+    ], ids=["negative_chains", "negative_extra_pairs", "both_zero"])
+    def test_bad_counts_are_one_line_error_before_any_write(self, tmp_path, capsys,
+                                                              counts, flag):
+        out = tmp_path / "toy"
+        code, _, err = run_cli(capsys, "gen-toy", "--out", str(out), *counts)
+        assert code == 1
+        lines = err.strip().split("\n")
+        assert len(lines) == 1
+        assert lines[0].startswith("error\tValueError\t")
+        assert flag in lines[0]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_defaults_echoed(self, tiny_dir, tmp_path, capsys):
@@ -329,6 +345,25 @@ class TestPredictTriples:
             assert code == 0
         assert (one / "predictions.tsv").read_bytes() == (two / "predictions.tsv").read_bytes()
         assert (one / "curve.tsv").read_bytes() == (two / "curve.tsv").read_bytes()
+
+    def test_nan_model_is_one_line_error_and_writes_no_outputs(self, trained, tmp_path, capsys):
+        dataset, checkpoint = trained
+        params = model.load_checkpoint(checkpoint)
+        params.entity_out_w[...] = np.nan
+        broken = tmp_path / "nan.dskg"
+        model.save_checkpoint(params, broken)
+        out = tmp_path / "pred"
+        code, _, err = run_cli(
+            capsys, "predict-triples", "--checkpoint", str(broken),
+            "--data", str(dataset), "--out", str(out),
+            "--stage1-window", "6", "--stage2-window", "10",
+        )
+        assert code == 1
+        assert err.strip().split("\n") == [
+            "error\tValueError\tcannot rank non-finite scores"
+        ]
+        assert not (out / "predictions.tsv").exists()
+        assert not (out / "curve.tsv").exists()
 
 
 class TestWorkers:

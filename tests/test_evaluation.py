@@ -434,8 +434,8 @@ class TestCascade:
 
 
 class TestNonFiniteScores:
-    """A model with NaN weights cannot be ranked: NaN never beats the gold
-    score, so without the check it would read as rank 1."""
+    """A model with non-finite logits cannot be ranked: NaN never beats the
+    gold score, so without the softmax's check it would read as rank 1."""
 
     @staticmethod
     def setup_model():
@@ -445,10 +445,21 @@ class TestNonFiniteScores:
         )
         return ds, params
 
-    @pytest.mark.parametrize("variant", evaluation.VARIANTS)
-    def test_nan_entity_weights(self, variant):
+    # Beyond NaN weights: a +inf logit, or a row of all -inf logits, also
+    # leaves its row without a finite max.
+    @pytest.mark.parametrize("variant, damage", [
+        pytest.param(variant, damage, id=variant if damage == "nan" else f"{variant}-{damage}")
+        for damage in ("nan", "inf_bias", "neg_inf_bias")
+        for variant in evaluation.VARIANTS
+    ])
+    def test_nan_entity_weights(self, variant, damage):
         ds, params = self.setup_model()
-        params.entity_out_w[...] = np.nan
+        if damage == "nan":
+            params.entity_out_w[...] = np.nan
+        elif damage == "inf_bias":
+            params.entity_out_b[3] = np.inf
+        else:
+            params.entity_out_b[...] = -np.inf
         with pytest.raises(ValueError, match="cannot rank non-finite scores"):
             evaluation.evaluate_variants(params, ds, [variant])
 

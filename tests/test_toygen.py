@@ -64,6 +64,19 @@ class TestGenerator:
         with pytest.raises(ValueError):
             ToyConfig(holdout_fraction=1.0)
 
+    @pytest.mark.parametrize("counts, message", [
+        ({"num_chains": -5}, "num_chains"),
+        ({"num_extra_pairs": -3}, "num_extra_pairs"),
+        ({"num_chains": 0, "num_extra_pairs": 0}, "both 0"),
+    ], ids=["negative_chains", "negative_extra_pairs", "both_zero"])
+    def test_bad_counts_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ToyConfig(**counts)
+
+    def test_one_count_may_be_zero(self):
+        kg = generate_toy_kg(ToyConfig(num_entities=20, num_chains=0, num_extra_pairs=10))
+        assert {t.relation for t in kg.train} == {"paired_with", "paired_back"}
+
     def test_write_files(self, tmp_path):
         kg = generate_toy_kg(ToyConfig(num_entities=20, num_chains=10, num_extra_pairs=5))
         write_toy_kg(kg, tmp_path / "toy")
