@@ -1,4 +1,12 @@
-"""Sequential knowledge-graph completion with a type-switched stacked LSTM."""
+"""Sequential knowledge-graph completion with a type-switched stacked LSTM.
+
+The names below are the library's entry points: read and index triples
+(``parse_triples``, ``index_dataset``), build and store a model
+(``init_params``, ``save_checkpoint``, ``load_checkpoint``), train it
+(``TrainConfig``, ``train``) and rank with it (``filtered_rank``,
+``enhance_scores``; the batched passes are in ``dskg.evaluation`` and
+``dskg.beam``). The ``dskg`` command (``dskg.cli``) runs the same pipeline.
+"""
 
 __version__ = "0.1.0"
 
@@ -13,7 +21,7 @@ from .data import (
     parse_triples,
 )
 from .evaluation import EnhanceConfig, MetricsReport, enhance_scores, filtered_rank
-from .model import ModelParams, forward_triple, init_params, load_checkpoint, save_checkpoint
+from .model import ModelParams, init_params, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 __all__ = [
@@ -29,7 +37,6 @@ __all__ = [
     "build_vocabulary",
     "enhance_scores",
     "filtered_rank",
-    "forward_triple",
     "index_dataset",
     "init_params",
     "load_checkpoint",

@@ -85,13 +85,13 @@ def _echo_config(options: dict, out_dir: Path, extra: dict | None = None):
 
 
 def cmd_prepare(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = data.index_dataset(
         data.load_triples(args.train),
         data.load_triples(args.valid),
         data.load_triples(args.test),
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     cache_path = out_dir / "dataset.dskg"
     data.save_dataset(dataset, cache_path)
     stats = data.dataset_stats(dataset)

@@ -16,9 +16,12 @@ one run of keys that starts with its pair key, found by binary search.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -91,7 +94,8 @@ class Vocabulary:
     """Entity and relation lexicons, id-ordered by descending frequency.
 
     ``relation_labels`` covers both forward relations and their reverses;
-    ``reverse_of`` is an involution over relation ids with no fixed points.
+    ``reverse_of`` is an involution over relation ids that pairs each
+    forward label ``x`` with ``x^-1``.
     """
 
     entity_labels: list[str]
@@ -132,6 +136,16 @@ class Vocabulary:
             )
         if np.any(rev[rev] != np.arange(len(rev))) or np.any(rev == np.arange(len(rev))):
             raise ValueError("reverse map must be a fixed-point-free involution")
+        forward = np.flatnonzero(~self.is_reverse)
+        if not len(forward) == self.num_forward_relations == len(rev) - len(forward):
+            raise ValueError(
+                f"{len(forward)} of {len(rev)} relation labels are forward ones, expected "
+                f"{self.num_forward_relations} of {2 * self.num_forward_relations}"
+            )
+        for r in forward:
+            label, partner = self.relation_labels[r], self.relation_labels[rev[r]]
+            if partner != label + REVERSE_MARKER:
+                raise ValueError(f"reverse map pairs relation {label!r} with {partner!r}")
 
     @property
     def num_entities(self) -> int:
@@ -140,9 +154,6 @@ class Vocabulary:
     @property
     def num_relations(self) -> int:
         return len(self.relation_labels)
-
-    def reverse(self, relation_id: int) -> int:
-        return int(self.reverse_of[relation_id])
 
 
 def build_vocabulary(train: Sequence[RawTriple]) -> Vocabulary:
@@ -419,10 +430,27 @@ def _read_array(buf, count: int, dtype: str) -> np.ndarray:
     return np.frombuffer(_read_exact(buf, count * itemsize), dtype=dtype).copy()
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a temporary file next to ``path`` for binary writing, and make it
+    ``path`` only once the ``with`` block completes. A write that fails
+    part-way removes the temporary and leaves any previous ``path`` intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as buf:
+            yield buf
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: IndexedDataset, path):
-    """Serialize vocabulary and raw splits to the versioned binary cache."""
+    """Serialize vocabulary and raw splits to the versioned binary cache,
+    atomically."""
     vocab = dataset.vocab
-    with open(path, "wb") as buf:
+    with atomic_write(path) as buf:
         buf.write(CACHE_MAGIC)
         buf.write(
             struct.pack(

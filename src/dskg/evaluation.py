@@ -115,14 +115,6 @@ def relation_scores_batch(params: ModelParams, subjects) -> np.ndarray:
     return _softmax64(logits(params, h_s, "relation"))
 
 
-def entity_scores(params: ModelParams, subject: int, relation: int) -> np.ndarray:
-    return entity_scores_batch(params, [subject], [relation])[0]
-
-
-def relation_scores(params: ModelParams, subject: int) -> np.ndarray:
-    return relation_scores_batch(params, [subject])[0]
-
-
 def relation_prob_matrix(
     params: ModelParams, chunk: int = 1024, workers: int = 1
 ) -> np.ndarray:

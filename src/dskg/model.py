@@ -23,12 +23,12 @@ little-endian float32. Only the stacks the architecture runs are stored.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .data import atomic_write
 
 ARCH_DSKG = "dskg"
 ARCH_SHARED = "shared"
@@ -273,15 +273,6 @@ def lstm_backward(cell: CellParams, cache, dh: np.ndarray, dc: np.ndarray | None
     return dx, dh_prev, dc_prev, grad_w_x, grad_w_h, grad_b
 
 
-def lstm_step(cell: CellParams, x: np.ndarray, state: tuple[np.ndarray, np.ndarray]):
-    """Single-vector LSTM step: (h', c') from input x and state (h, c)."""
-    h_prev, c_prev = state
-    h, c, _ = lstm_forward(
-        cell, np.asarray(x)[None, :], np.asarray(h_prev)[None, :], np.asarray(c_prev)[None, :]
-    )
-    return h[0], c[0]
-
-
 @dataclass
 class ForwardCache:
     s_ids: np.ndarray
@@ -368,19 +359,6 @@ def forward_batch(
     return h_s, h_r, cache
 
 
-def forward_triple(
-    params: ModelParams,
-    subject: int,
-    relation: int,
-    keep_prob: float | None = None,
-    seed: int | None = None,
-):
-    """Single-pair convenience wrapper; returns (h_s, h_r) vectors."""
-    rng = np.random.default_rng(seed) if keep_prob is not None else None
-    h_s, h_r, _ = forward_batch(params, [subject], [relation], keep_prob=keep_prob, rng=rng)
-    return h_s[0], h_r[0]
-
-
 def logits(params: ModelParams, h: np.ndarray, kind: str) -> np.ndarray:
     """Unscaled label scores: row(label) . h + bias(label) over one whole type block."""
     if kind == "entity":
@@ -396,33 +374,25 @@ def logits(params: ModelParams, h: np.ndarray, kind: str) -> np.ndarray:
 
 
 def save_checkpoint(params: ModelParams, path):
-    """Write a checkpoint atomically: a temporary file in the target directory
-    replaces ``path`` only once it is complete, so a failed write leaves any
-    previous checkpoint intact."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as buf:
-            buf.write(CHECKPOINT_MAGIC)
-            buf.write(
-                _HEADER.pack(
-                    CHECKPOINT_VERSION,
-                    params.num_entities,
-                    params.num_relations,
-                    params.embed_dim,
-                    params.num_layers,
-                    _ARCH_CODES[params.arch],
-                )
+    """Write a checkpoint atomically, so a failed write leaves any previous
+    checkpoint intact."""
+    with atomic_write(path) as buf:
+        buf.write(CHECKPOINT_MAGIC)
+        buf.write(
+            _HEADER.pack(
+                CHECKPOINT_VERSION,
+                params.num_entities,
+                params.num_relations,
+                params.embed_dim,
+                params.num_layers,
+                _ARCH_CODES[params.arch],
             )
-            for _, tensor in named_tensors(params):
-                buf.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        )
+        for _, tensor in named_tensors(params):
+            buf.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path, dtype=np.float32) -> ModelParams:
+def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as buf:
         magic = buf.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -446,7 +416,7 @@ def load_checkpoint(path, dtype=np.float32) -> ModelParams:
             raw = buf.read(size)
             if len(raw) != size:
                 raise ValueError(f"{path}: truncated checkpoint at tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
         if buf.read(1):
             raise ValueError(f"{path}: trailing bytes after last tensor")
     return ModelParams(tensors, arch, num_layers)

@@ -13,7 +13,7 @@ pattern visible in training.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,11 +56,6 @@ class ToyKG:
     train: list[RawTriple]
     valid: list[RawTriple]
     test: list[RawTriple]
-    config: ToyConfig = field(repr=False, default_factory=ToyConfig)
-
-    @property
-    def total(self) -> int:
-        return len(self.train) + len(self.valid) + len(self.test)
 
 
 def _entity_label(index: int, width: int) -> str:
@@ -128,7 +123,7 @@ def generate_toy_kg(config: ToyConfig = ToyConfig()) -> ToyKG:
     train = [RawTriple(*f) for f in ordered if f not in held_set]
     valid = [RawTriple(*f) for f in held[0::2]]
     test = [RawTriple(*f) for f in held[1::2]]
-    return ToyKG(train=train, valid=valid, test=test, config=config)
+    return ToyKG(train=train, valid=valid, test=test)
 
 
 def write_toy_kg(kg: ToyKG, directory):

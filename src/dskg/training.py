@@ -141,7 +141,9 @@ def _loss_term(weight, bias, h, true_ids, neg, log_q):
     when each row has its own. The distinct negative columns are scored once
     as a ``(B, C)`` block and each row gathers its own scores from it. A
     negative that equals a row's true label is masked out of that row (score
-    -inf), which zeroes both its probability and its gradient.
+    -inf), which zeroes both its probability and its gradient. Returns the
+    per-row losses and, for ``_backward_term``, the rows' softmax over
+    ``[true, negatives...]``.
     """
     cols, pos = _columns(neg, len(weight))
     block = h @ weight[cols].T
@@ -157,8 +159,11 @@ def _loss_term(weight, bias, h, true_ids, neg, log_q):
         raise ValueError("sampled_softmax_loss requires finite scores")
     scores[:, 1:][neg == true_ids[:, None]] = -np.inf
     top = scores.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(scores - top).sum(axis=1)) + top[:, 0]
-    return lse - scores[:, 0], (cols, pos, scores)
+    probs = np.exp(scores - top)
+    total = probs.sum(axis=1, keepdims=True)
+    losses = np.log(total[:, 0]) + top[:, 0] - scores[:, 0]
+    probs /= total
+    return losses, (cols, pos, probs)
 
 
 def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
@@ -168,10 +173,7 @@ def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
     so ``dh`` and ``dW[cols]`` each come from one matmul. A row's negatives
     are distinct, so the write needs no accumulation.
     """
-    cols, pos, scores = term
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    cols, pos, probs = term
     probs[:, 0] -= 1.0
     probs /= batch_size
     dscores = probs.astype(h.dtype)
@@ -226,28 +228,12 @@ def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams
     np.add.at(grads.entity_embed, cache.s_ids, d_entity)
 
 
-def _negatives(candidates, labels, lexicon_size, count, shared, rng, kind):
-    """Negative ids for one term: ``(k,)`` shared by the batch, or ``(B, k)``.
-
-    Explicit ``candidates`` (column 0 = each row's label) are validated and
-    win over sampling; otherwise the batch draws one shared set or one set
-    per row.
-    """
-    if candidates is None:
-        if shared:
-            return log_uniform_sample(lexicon_size, count, None, rng)
-        return negatives_for_batch(labels, lexicon_size, count, rng)
-    cand = np.asarray(candidates)
-    if (cand.ndim != 2 or len(cand) != len(labels) or cand.shape[1] < 1
-            or not np.issubdtype(cand.dtype, np.integer)):
-        raise ValueError(f"{kind} candidates must be a (batch, n >= 1) integer id matrix")
-    if cand.min() < 0 or cand.max() >= lexicon_size:
-        raise ValueError(f"{kind} candidate id out of range [0, {lexicon_size})")
-    if not np.array_equal(cand[:, 0], labels):
-        raise ValueError(f"{kind} candidates: column 0 must be each row's label")
-    if np.any(np.diff(np.sort(cand, axis=1), axis=1) == 0):
-        raise ValueError(f"{kind} candidates: a row repeats an id")
-    return cand[:, 1:]
+def _negatives(labels, lexicon_size, count, shared, rng):
+    """Negative ids for one term: one ``(k,)`` set shared by the batch, or a
+    ``(B, k)`` set per row."""
+    if shared:
+        return log_uniform_sample(lexicon_size, count, None, rng)
+    return negatives_for_batch(labels, lexicon_size, count, rng)
 
 
 def batch_loss_and_grads(
@@ -257,16 +243,13 @@ def batch_loss_and_grads(
     *,
     negative_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
-    entity_candidates: np.ndarray | None = None,
-    relation_candidates: np.ndarray | None = None,
-    want_grads: bool = True,
 ):
-    """Mean loss over a batch and, optionally, gradients for every tensor.
+    """Mean loss over a batch and gradients for every tensor.
 
-    Candidate matrices (column 0 = true label, ids distinct within a row)
-    may be supplied explicitly, which makes the loss a deterministic function
-    of the parameters; that is what the finite-difference checks rely on. Dropout is active only when a
-    ``dropout_rng`` is given and ``config.keep_prob < 1``.
+    The negatives are drawn from ``negative_rng`` through this module's
+    ``log_uniform_sample`` (shared) or ``negatives_for_batch`` (per example),
+    entity set first; replacing those names fixes a step's negatives. Dropout
+    is active only when a ``dropout_rng`` is given and ``config.keep_prob < 1``.
     """
     batch = np.asarray(batch)
     if len(batch) == 0:
@@ -285,13 +268,12 @@ def batch_loss_and_grads(
         log_q_r = np.log(log_uniform_probs(params.num_relations))
 
     # Entity negatives are drawn before relation negatives.
-    neg_e = _negatives(entity_candidates, objects, params.num_entities, n_e,
-                       config.shared_negatives, negative_rng, "entity")
+    neg_e = _negatives(objects, params.num_entities, n_e, config.shared_negatives, negative_rng)
     total = np.zeros(batch_size, dtype=np.float64)
     rel_term = None
     if config.relation_loss:
-        neg_r = _negatives(relation_candidates, relations, params.num_relations, n_r,
-                           config.shared_negatives, negative_rng, "relation")
+        neg_r = _negatives(relations, params.num_relations, n_r, config.shared_negatives,
+                           negative_rng)
         losses, rel_term = _loss_term(
             params.relation_out_w, params.relation_out_b, h_s, relations, neg_r, log_q_r
         )
@@ -301,9 +283,6 @@ def batch_loss_and_grads(
     )
     total += losses
     mean_loss = float(total.mean())
-
-    if not want_grads:
-        return mean_loss, None
 
     grads = params.zeros_like()
     dh_r = _backward_term(grads.entity_out_w, grads.entity_out_b, params.entity_out_w,

@@ -61,7 +61,7 @@ def bench_dataset(name):
     )
 
 
-def test_criterion_1_gradient_oracle():
+def test_criterion_1_gradient_oracle(fix_negatives):
     started = time.time()
     params = make_params(num_entities=6, num_relations=4, embed_dim=4, num_layers=1,
                          dtype=np.float64, seed=17)
@@ -70,14 +70,13 @@ def test_criterion_1_gradient_oracle():
     batch = np.array([[0, 1, 2], [3, 0, 1], [5, 2, 4], [2, 3, 0]])
     cand_e = np.array([[2, 0, 4], [1, 3, 5], [4, 0, 2], [0, 5, 3]])
     cand_r = np.array([[1, 0, 3], [0, 2, 1], [2, 3, 0], [3, 1, 2]])
+    fix_negatives(cand_e[:, 1:], cand_r[:, 1:])  # column 0 is each row's label
 
     def loss():
-        value, _ = batch_loss_and_grads(params, batch, config, entity_candidates=cand_e,
-                                        relation_candidates=cand_r, want_grads=False)
+        value, _ = batch_loss_and_grads(params, batch, config)
         return value
 
-    _, grads = batch_loss_and_grads(params, batch, config, entity_candidates=cand_e,
-                                    relation_candidates=cand_r)
+    _, grads = batch_loss_and_grads(params, batch, config)
     step = 1e-5
     worst = 0.0
     for (_, tensor), (_, grad) in zip(named_tensors(params), named_tensors(grads)):

@@ -15,14 +15,14 @@ from dskg.beam import (
     stage2_triples,
 )
 from dskg.data import RawTriple, _encode_triples, check_key_range, index_dataset
-from dskg.evaluation import entity_scores, relation_scores
+from dskg.evaluation import entity_scores_batch, relation_scores_batch
 
 
 def oracle_pairs(params):
     """Exhaustive pair enumeration with python sorting."""
     rows = []
     for e in range(params.num_entities):
-        probs = relation_scores(params, e)
+        probs = relation_scores_batch(params, [e])[0]
         for r in range(params.num_relations):
             rows.append((e, r, float(probs[r])))
     rows.sort(key=lambda row: (-row[2], row[0], row[1]))
@@ -32,7 +32,7 @@ def oracle_pairs(params):
 def oracle_triples(params, pair_rows):
     rows = []
     for e, r, pair_score in pair_rows:
-        probs = entity_scores(params, e, r)
+        probs = entity_scores_batch(params, [e], [r])[0]
         for o in range(params.num_entities):
             rows.append((e, r, o, pair_score * float(probs[o])))
     rows.sort(key=lambda row: (-row[3], row[0], row[1], row[2]))
@@ -203,7 +203,8 @@ class TestStage2:
         config = BeamConfig(stage1_window=8, stage2_window=20)
         out = stage2_triples(params, stage1_pairs(params, config), config)
         for (s, r, o), score in zip(out.triples, out.scores):
-            recomputed = relation_scores(params, s)[r] * entity_scores(params, s, r)[o]
+            recomputed = (relation_scores_batch(params, [s])[0, r]
+                          * entity_scores_batch(params, [s], [r])[0, o])
             assert abs(score - recomputed) < 1e-9
 
     def test_wider_stage1_never_drops_high_scores(self):
@@ -255,7 +256,7 @@ class TestCanonicalization:
         ds = chain_dataset()
         vocab = ds.vocab
         p = vocab.relation_ids["p"]
-        p_rev = vocab.reverse(p)
+        p_rev = vocab.reverse_of[p]
         a, b = vocab.entity_ids["a"], vocab.entity_ids["b"]
         out = canonicalize_triples(np.array([[b, p_rev, a], [a, p, b]]), vocab)
         assert list(out[0]) == [a, p, b]
@@ -310,7 +311,7 @@ class TestPrecisionCurve:
         vocab = ds.vocab
         q = vocab.relation_ids["q"]
         a, b = vocab.entity_ids["a"], vocab.entity_ids["b"]
-        ids = np.array([[a, q, b], [b, vocab.reverse(q), a]], dtype=np.int64)
+        ids = np.array([[a, q, b], [b, vocab.reverse_of[q], a]], dtype=np.int64)
         out = ScoredTriples(triples=ids, scores=np.array([0.9, 0.8]))
         curve = precision_curve(out, ds)
         assert curve[-1].n == 1  # the two orientations collapse to one fact
@@ -381,7 +382,7 @@ def oracle_curve(triples, dataset, canonicalize):
 
     def both_orientations(split):
         rows = {tuple(map(int, t)) for t in split}
-        return rows | {(o, vocab.reverse(r), s) for s, r, o in rows}
+        return rows | {(o, vocab.reverse_of[r], s) for s, r, o in rows}
 
     predict = both_orientations(dataset.valid) | both_orientations(dataset.test)
     correct = both_orientations(dataset.train) | predict

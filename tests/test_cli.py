@@ -77,6 +77,7 @@ class TestPrepare:
         kind, name, message = lines[0].split("\t", 2)
         assert kind == "error" and name == "FileNotFoundError"
         assert "absent.txt" in message
+        assert not (tmp_path / "prep").exists()
 
     def test_parse_error_carries_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "train.txt"
@@ -88,6 +89,7 @@ class TestPrepare:
         assert code == 1
         assert "line 1" in err
         assert "train.txt" in err
+        assert not (tmp_path / "prep").exists()
 
 
 class TestGenToy:
@@ -447,6 +449,11 @@ class TestAuditInverse:
                      "reverse relation id 999 out of range for 4 relations", id="reverse_out_of_range"),
         pytest.param("reverse_in_valid",
                      "valid split holds reverse relation 'p^-1'", id="reverse_in_valid"),
+        pytest.param("reverse_mispaired",
+                     "reverse map pairs relation 'q' with 'p^-1'", id="reverse_mispaired"),
+        pytest.param("forward_count",
+                     "2 of 4 relation labels are forward ones, expected 1 of 2",
+                     id="forward_count"),
     ])
     def test_damaged_vocabulary_is_one_line_value_error(self, tiny_dir, tmp_path, capsys,
                                                         damage, message):
@@ -460,12 +467,17 @@ class TestAuditInverse:
         # Three one-letter entity labels (a, b, c) follow the 32-byte header,
         # each as a 4-byte length and its byte; the four relations' reverse
         # ids come just before the 5 + 1 + 1 triples of the splits. Relation
-        # ids are q, p, q^-1, p^-1 (q is the more frequent).
+        # ids are q, p, q^-1, p^-1 (q is the more frequent). The header's
+        # third field, at byte 16, counts the forward relations.
+        reverse_at = len(blob) - 12 * 7 - 4 * 4
         if damage == "duplicate_entity":
             blob[32 + 5 + 4] = blob[32 + 4]
         elif damage == "reverse_out_of_range":
-            at = len(blob) - 12 * 7 - 4 * 4
-            blob[at:at + 4] = (999).to_bytes(4, "little")
+            blob[reverse_at:reverse_at + 4] = (999).to_bytes(4, "little")
+        elif damage == "reverse_mispaired":  # q <-> p^-1 and p <-> q^-1
+            blob[reverse_at:reverse_at + 16] = np.array([3, 2, 1, 0], "<u4").tobytes()
+        elif damage == "forward_count":
+            blob[16:20] = (1).to_bytes(4, "little")
         else:  # the valid triple's relation becomes p^-1
             at = len(blob) - 12 * 2 + 4
             blob[at:at + 4] = (3).to_bytes(4, "little")

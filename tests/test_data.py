@@ -70,7 +70,7 @@ def check_key_sets(ds, train, valid, test):
         found = set()
         for t in (t for split in splits for t in split):
             s, r, o = entity[t.subject], relation[t.relation], entity[t.object]
-            for a, b, c in ((s, r, o), (o, vocab.reverse(r), s)):
+            for a, b, c in ((s, r, o), (o, vocab.reverse_of[r], s)):
                 found.add((a * vocab.num_relations + b) * vocab.num_entities + c)
         return sorted(found)
 
@@ -120,7 +120,7 @@ class TestVocabulary:
         assert vocab.entity_labels == ["b", "a", "c"]
         assert list(vocab.entity_freqs) == [2, 1, 1]
         assert vocab.relation_labels == ["p", "p" + data.REVERSE_MARKER]
-        assert vocab.reverse(0) == 1 and vocab.reverse(1) == 0
+        assert vocab.reverse_of[0] == 1 and vocab.reverse_of[1] == 0
 
     def test_self_loop_counts_twice(self):
         vocab = build_vocabulary([RawTriple("a", "p", "a")])
@@ -170,7 +170,7 @@ class TestVocabulary:
         for label, _ in forward:
             fwd = vocab.relation_ids[label]
             rev = vocab.relation_ids[label + data.REVERSE_MARKER]
-            assert vocab.reverse(fwd) == rev and vocab.reverse(rev) == fwd
+            assert vocab.reverse_of[fwd] == rev and vocab.reverse_of[rev] == fwd
             assert vocab.relation_freqs[fwd] == vocab.relation_freqs[rev]
             assert vocab.is_reverse[rev] and not vocab.is_reverse[fwd]
         assert vocab.reverse_of.dtype == np.int32
@@ -204,6 +204,32 @@ class TestVocabulary:
                 num_forward_relations=1,
             )
 
+    @pytest.mark.parametrize("labels, reverse_of, num_forward, message", [
+        pytest.param(["a", "b", "a^-1", "b^-1"], [3, 2, 1, 0], 2,
+                     r"reverse map pairs relation 'a' with 'b\^-1'", id="mispaired"),
+        pytest.param(["a", "b", "c", "a^-1"], [3, 2, 1, 0], 3,
+                     "3 of 4 relation labels are forward ones, expected 3 of 6",
+                     id="forward_pair"),
+        pytest.param(["a", "a^-1", "b^-1", "c^-1"], [1, 0, 3, 2], 1,
+                     "1 of 4 relation labels are forward ones, expected 1 of 2",
+                     id="reverse_pair"),
+        pytest.param(["a", "a^-1"], [1, 0], 2,
+                     "1 of 2 relation labels are forward ones, expected 2 of 4",
+                     id="forward_count"),
+    ])
+    def test_reverse_map_must_pair_each_label_with_its_reverse(
+        self, labels, reverse_of, num_forward, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            data.Vocabulary(
+                entity_labels=["x", "y"],
+                entity_freqs=np.array([1, 1]),
+                relation_labels=labels,
+                relation_freqs=np.ones(len(labels), dtype=np.int64),
+                reverse_of=np.array(reverse_of, dtype=np.int32),
+                num_forward_relations=num_forward,
+            )
+
     @given(st.lists(raw_triples, min_size=1, max_size=30))
     def test_index_roundtrip(self, triples):
         vocab = build_vocabulary(triples)
@@ -231,7 +257,7 @@ class TestAugment:
         a, b = vocab.entity_ids["a"], vocab.entity_ids["b"]
         p = vocab.relation_ids["p"]
         assert list(out[0]) == [a, p, b]
-        assert list(out[1]) == [b, vocab.reverse(p), a]
+        assert list(out[1]) == [b, vocab.reverse_of[p], a]
 
     def test_empty(self):
         vocab = build_vocabulary([RawTriple("a", "p", "b")])
@@ -277,7 +303,7 @@ class TestIndexedDataset:
                 assert o in ds.known_answers(int(s), int(r))
         # head direction through the reverse relation as well
         for s, r, o in ds.test:
-            assert s in ds.known_answers(int(o), ds.vocab.reverse(int(r)))
+            assert s in ds.known_answers(int(o), ds.vocab.reverse_of[int(r)])
 
     def test_answer_index_dedups_repeats_and_keeps_empty_keys(self):
         train = parse_triples(["a\tp\tb", "a\tp\tc", "b\tq\tc"])
@@ -335,7 +361,7 @@ class TestIndexedDataset:
         assert len(ds.train) == 2 * ds.num_raw_train
         forward = set(map(tuple, ds.train[: ds.num_raw_train]))
         for s, r, o in forward:
-            assert (o, ds.vocab.reverse(r), s) in set(map(tuple, ds.train))
+            assert (o, ds.vocab.reverse_of[r], s) in set(map(tuple, ds.train))
 
 
 class TestBatchIterator:
@@ -428,6 +454,21 @@ class TestCache:
         path.write_bytes(path.read_bytes() + b"\x00" * 12)
         with pytest.raises(ValueError, match="trailing bytes"):
             data.load_dataset(path)
+
+    def test_failed_save_keeps_the_previous_cache(self, tiny_dataset, tmp_path, monkeypatch):
+        path = tmp_path / "dataset.dskg"
+        data.save_dataset(tiny_dataset, path)
+        before = path.read_bytes()
+
+        def fail(buf, array, dtype):
+            buf.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(data, "_write_array", fail)
+        with pytest.raises(OSError, match="disk full"):
+            data.save_dataset(tiny_dataset, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.dskg"]
 
     def test_save_is_deterministic(self, tiny_dataset, tmp_path):
         p1, p2 = tmp_path / "one.dskg", tmp_path / "two.dskg"

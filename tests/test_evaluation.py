@@ -11,18 +11,18 @@ from dskg.data import RawTriple, augment_reverse, index_dataset, save_dataset
 from dskg.evaluation import (
     EnhanceConfig,
     enhance_scores,
-    entity_scores,
+    entity_scores_batch,
     evaluate_cascade,
     evaluate_entity_prediction,
     filtered_rank,
     filtered_ranks,
     metrics_from_ranks,
     relation_prob_matrix,
-    relation_scores,
+    relation_scores_batch,
     unfiltered_rank,
     unfiltered_ranks,
 )
-from dskg.model import forward_triple, init_params, logits, save_checkpoint
+from dskg.model import forward_batch, init_params, logits, save_checkpoint
 
 
 def oracle_filtered_rank(scores, gold, known, pessimistic=False):
@@ -78,12 +78,12 @@ def oracle_evaluate(params, dataset, enhance, split="test", cascade=False):
     queries += [(int(o), int(rev[r]), int(s)) for s, r, o in triples]
     ranks = []
     for subject, relation, gold in queries:
-        h_s, h_r = forward_triple(params, subject, relation)
+        (h_s,), (h_r,), _ = forward_batch(params, [subject], [relation])
         probs = oracle_softmax(logits(params, h_r, "entity"))
         if enhance.enabled:
             reverse_probs = np.empty(params.num_entities)
             for e in range(params.num_entities):
-                h_e, _ = forward_triple(params, e, 0)
+                (h_e,), _, _ = forward_batch(params, [e], [0])
                 reverse_probs[e] = oracle_softmax(logits(params, h_e, "relation"))[rev[relation]]
             probs = reverse_probs ** enhance.alpha * probs
         known = dataset.known_answers(subject, relation)
@@ -106,30 +106,30 @@ def oracle_evaluate(params, dataset, enhance, split="test", cascade=False):
 class TestScoreVectors:
     def test_entity_scores_sum_to_one(self):
         params = make_params(num_entities=9, num_relations=4)
-        assert entity_scores(params, 1, 2).sum() == pytest.approx(1.0, abs=1e-6)
+        assert entity_scores_batch(params, [1], [2])[0].sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_relation_scores_sum_to_one(self):
         params = make_params(num_entities=9, num_relations=4)
-        assert relation_scores(params, 3).sum() == pytest.approx(1.0, abs=1e-6)
+        assert relation_scores_batch(params, [3])[0].sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_uniform_logits_give_uniform_probs(self):
         params = init_params(8, 4, 4, 1, seed=0)
         for _, tensor in [("w", params.entity_out_w), ("b", params.entity_out_b)]:
             tensor[...] = 0
-        probs = entity_scores(params, 0, 0)
+        probs = entity_scores_batch(params, [0], [0])[0]
         assert np.allclose(probs, 1.0 / 8, atol=1e-12)
 
     def test_two_relation_logistic_pair(self):
         params = make_params(num_entities=4, num_relations=2)
-        probs = relation_scores(params, 1)
-        raw = logits(params, forward_triple(params, 1, 0)[0], "relation")
+        probs = relation_scores_batch(params, [1])[0]
+        raw = logits(params, forward_batch(params, [1], [0])[0][0], "relation")
         expected = 1.0 / (1.0 + np.exp(-(raw[0] - raw[1])))
         assert probs[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_dense_oracle(self):
         params = make_params(num_entities=7, num_relations=4, embed_dim=3)
-        probs = entity_scores(params, 2, 1)
-        _, h_r = forward_triple(params, 2, 1)
+        probs = entity_scores_batch(params, [2], [1])[0]
+        _, (h_r,), _ = forward_batch(params, [2], [1])
         raw = [
             sum(params.entity_out_w[e][j] * h_r[j] for j in range(3)) + params.entity_out_b[e]
             for e in range(7)
@@ -140,7 +140,7 @@ class TestScoreVectors:
         params = make_params(num_entities=6, num_relations=4)
         matrix = relation_prob_matrix(params, chunk=2)
         for e in range(6):
-            assert np.allclose(matrix[e], relation_scores(params, e), atol=1e-15)
+            assert np.allclose(matrix[e], relation_scores_batch(params, [e])[0], atol=1e-15)
 
     def test_worker_count_does_not_change_results(self):
         params = make_params(num_entities=10, num_relations=4)
@@ -324,9 +324,10 @@ class TestEnhancement:
         )
         rev = ds.vocab.reverse_of
         relation = 1
-        p_orig = entity_scores(params, 0, relation)
+        p_orig = entity_scores_batch(params, [0], [relation])[0]
         refined = enhance_scores(p_orig, relation_prob_matrix(params)[:, rev[relation]], 1 / 3)
-        reverse = [relation_scores(params, e)[rev[relation]] for e in range(params.num_entities)]
+        reverse = [relation_scores_batch(params, [e])[0][rev[relation]]
+                   for e in range(params.num_entities)]
         expected = np.array(reverse) ** (1 / 3) * p_orig
         assert np.allclose(refined, expected, atol=1e-15)
 

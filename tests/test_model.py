@@ -9,13 +9,11 @@ from dskg.model import (
     CellParams,
     active_cells,
     forward_batch,
-    forward_triple,
     init_params,
     load_checkpoint,
     logits,
     lstm_backward,
     lstm_forward,
-    lstm_step,
     named_tensors,
     save_checkpoint,
 )
@@ -95,7 +93,7 @@ class TestLstmStep:
     def test_all_zero_cell_gives_zero_output(self):
         k = 3
         cell = CellParams(np.zeros((4 * k, k)), np.zeros((4 * k, k)), np.zeros(4 * k))
-        h, c = lstm_step(cell, np.array([1.0, -2.0, 0.5]), (np.zeros(k), np.zeros(k)))
+        h, c, _ = lstm_forward(cell, np.array([[1.0, -2.0, 0.5]]), np.zeros((1, k)), np.zeros((1, k)))
         assert np.all(h == 0.0)
         assert np.all(c == 0.0)
 
@@ -105,8 +103,8 @@ class TestLstmStep:
         bias[:k] = -50.0  # input gate shut
         bias[k : 2 * k] = 50.0  # forget gate open
         cell = CellParams(np.zeros((4 * k, k)), np.zeros((4 * k, k)), bias)
-        c_prev = np.array([0.3, -0.7, 0.9])
-        _, c = lstm_step(cell, np.ones(k), (np.zeros(k), c_prev))
+        c_prev = np.array([[0.3, -0.7, 0.9]])
+        _, c, _ = lstm_forward(cell, np.ones((1, k)), np.zeros((1, k)), c_prev)
         assert np.allclose(c, c_prev, atol=1e-6)
 
     def test_matches_scalar_oracle(self):
@@ -118,16 +116,16 @@ class TestLstmStep:
         x = rng.normal(size=k)
         h_prev = rng.normal(size=k)
         c_prev = rng.normal(size=k)
-        h, c = lstm_step(cell, x, (h_prev, c_prev))
+        h, c, _ = lstm_forward(cell, x[None, :], h_prev[None, :], c_prev[None, :])
         oh, oc = scalar_lstm_oracle(cell, x, h_prev, c_prev)
-        assert np.allclose(h, oh, atol=1e-12)
-        assert np.allclose(c, oc, atol=1e-12)
+        assert np.allclose(h[0], oh, atol=1e-12)
+        assert np.allclose(c[0], oc, atol=1e-12)
 
     def test_dimension_mismatch(self):
         k = 3
         cell = CellParams(np.zeros((4 * k, k)), np.zeros((4 * k, k)), np.zeros(4 * k))
         with pytest.raises(ValueError):
-            lstm_step(cell, np.zeros(k + 1), (np.zeros(k), np.zeros(k)))
+            lstm_forward(cell, np.zeros((1, k + 1)), np.zeros((1, k)), np.zeros((1, k)))
 
 
 def random_cell(rng, k, dtype):
@@ -201,14 +199,14 @@ class TestZeroState:
 class TestForward:
     def test_deterministic_without_dropout(self):
         params = make_params(num_layers=2)
-        a = forward_triple(params, 1, 2)
-        b = forward_triple(params, 1, 2)
+        a = forward_batch(params, [1], [2])
+        b = forward_batch(params, [1], [2])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_two_step_scalar_oracle(self):
         params = make_params(num_entities=4, num_relations=3, embed_dim=2, num_layers=1)
         s, r = 2, 1
-        h_s, h_r = forward_triple(params, s, r)
+        (h_s,), (h_r,), _ = forward_batch(params, [s], [r])
         zero = np.zeros(2)
         cell1, cell2 = active_cells(params, 0)[0], active_cells(params, 1)[0]
         oh1, oc1 = scalar_lstm_oracle(cell1, params.entity_embed[s], zero, zero)
@@ -219,22 +217,22 @@ class TestForward:
     def test_shared_equals_dskg_when_cells_copied(self):
         params, shared = equalized_pair(make_params(num_layers=2, arch="dskg"))
         assert shared.arch == model.ARCH_SHARED
-        h_s_a, h_r_a = forward_triple(params, 3, 2)
-        h_s_b, h_r_b = forward_triple(shared, 3, 2)
+        h_s_a, h_r_a, _ = forward_batch(params, [3], [2])
+        h_s_b, h_r_b, _ = forward_batch(shared, [3], [2])
         assert np.array_equal(h_s_a, h_s_b)
         assert np.array_equal(h_r_a, h_r_b)
 
     def test_state_carries_across_timesteps(self):
         params = make_params(num_layers=2)
-        _, h_r_one = forward_triple(params, 0, 1)
-        _, h_r_two = forward_triple(params, 4, 1)
+        _, h_r_one, _ = forward_batch(params, [0], [1])
+        _, h_r_two, _ = forward_batch(params, [4], [1])
         assert not np.allclose(h_r_one, h_r_two)
 
     def test_dropout_reproducible_with_seed(self):
         params = make_params()
-        a = forward_triple(params, 1, 2, keep_prob=0.5, seed=9)
-        b = forward_triple(params, 1, 2, keep_prob=0.5, seed=9)
-        c = forward_triple(params, 1, 2, keep_prob=0.5, seed=10)
+        a = forward_batch(params, [1], [2], keep_prob=0.5, rng=np.random.default_rng(9))
+        b = forward_batch(params, [1], [2], keep_prob=0.5, rng=np.random.default_rng(9))
+        c = forward_batch(params, [1], [2], keep_prob=0.5, rng=np.random.default_rng(10))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[1], c[1])
 
@@ -246,9 +244,9 @@ class TestForward:
     def test_id_range_checked(self):
         params = make_params()
         with pytest.raises(ValueError):
-            forward_triple(params, 99, 0)
+            forward_batch(params, [99], [0])
         with pytest.raises(ValueError):
-            forward_triple(params, 0, 99)
+            forward_batch(params, [0], [99])
 
 
 class TestLogits:
@@ -292,6 +290,22 @@ class TestCheckpoint:
         for (na, ta), (nb, tb) in zip(named_tensors(params), named_tensors(loaded)):
             assert na == nb
             assert np.array_equal(ta, tb)
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        params = init_params(7, 4, 6, 2, seed=13)
+        path = tmp_path / "ck.dskg"
+        save_checkpoint(params, path)
+        before = path.read_bytes()
+
+        def first_tensor_then_fail(params):
+            yield named_tensors(params)[0]
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model, "named_tensors", first_tensor_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(params, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.dskg"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dskg"

@@ -17,9 +17,10 @@ class TestGenerator:
 
     def test_shape_targets(self):
         kg = generate_toy_kg(ToyConfig())
-        assert 1800 <= kg.total <= 2100
         held = len(kg.valid) + len(kg.test)
-        assert abs(held - round(0.10 * kg.total)) <= 1
+        total = len(kg.train) + held
+        assert 1800 <= total <= 2100
+        assert abs(held - round(0.10 * total)) <= 1
         relations = {t.relation for t in kg.train}
         assert relations == {name for pair in INVERSE_FAMILIES for name in pair}
         entities = {t.subject for t in kg.train} | {t.object for t in kg.train}

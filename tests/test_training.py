@@ -86,22 +86,22 @@ class TestTripleLoss:
             loss += term(params.relation_out_w, params.relation_out_b, h_s, cand_r)
         return loss
 
-    def test_matches_composed_oracle(self):
+    def test_matches_composed_oracle(self, fix_negatives):
         params = make_params(num_entities=5, num_relations=4, embed_dim=2, num_layers=1)
         cand_r = np.array([[1, 0, 3]])
         cand_e = np.array([[4, 0, 2]])
         config = small_config(embed_dim=2)
-        loss, _ = batch_loss_and_grads(params, np.array([[3, 1, 4]]), config, want_grads=False,
-                                       entity_candidates=cand_e, relation_candidates=cand_r)
+        fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
+        loss, _ = batch_loss_and_grads(params, np.array([[3, 1, 4]]), config)
         oracle = self.composed_oracle(params, 3, 1, 4, cand_r[0], cand_e[0], True)
         assert loss == pytest.approx(oracle, abs=1e-12)
 
-    def test_relation_loss_off_leaves_entity_term(self):
+    def test_relation_loss_off_leaves_entity_term(self, fix_negatives):
         params = make_params(embed_dim=2, num_layers=1, num_entities=5)
         cand_e = np.array([[4, 0, 2]])
         config_off = small_config(embed_dim=2, relation_loss=False)
-        loss, _ = batch_loss_and_grads(params, np.array([[3, 1, 4]]), config_off,
-                                       want_grads=False, entity_candidates=cand_e)
+        fix_negatives(cand_e[:, 1:])
+        loss, _ = batch_loss_and_grads(params, np.array([[3, 1, 4]]), config_off)
         oracle = self.composed_oracle(params, 3, 1, 4, None, cand_e[0], False)
         assert loss == pytest.approx(oracle, abs=1e-12)
 
@@ -109,21 +109,19 @@ class TestTripleLoss:
         params = make_params(num_entities=8, num_relations=6, embed_dim=4)
         rng = np.random.default_rng(0)
         config = small_config()
-        loss, _ = batch_loss_and_grads(params, np.array([[1, 2, 3]]), config,
-                                       want_grads=False, negative_rng=rng)
+        loss, _ = batch_loss_and_grads(params, np.array([[1, 2, 3]]), config, negative_rng=rng)
         assert np.isfinite(loss) and loss >= 0.0
 
 
     @pytest.mark.parametrize("shared", [False, True])
-    @pytest.mark.parametrize("want_grads", [False, True])
-    def test_non_finite_scores_rejected_in_both_negative_modes(self, shared, want_grads):
+    def test_non_finite_scores_rejected_in_both_negative_modes(self, shared):
         params = make_params(num_entities=6, num_relations=4)
         params.entity_out_w[2, 0] = np.inf  # the true object of the first row
         config = small_config(shared_negatives=shared, entity_negatives=5)
         with pytest.raises(ValueError, match="requires finite scores"):
             batch_loss_and_grads(
                 params, np.array([[0, 1, 2], [3, 0, 1]]), config,
-                negative_rng=np.random.default_rng(0), want_grads=want_grads,
+                negative_rng=np.random.default_rng(0),
             )
 
 
@@ -145,12 +143,9 @@ class TestNegativeModes:
         assert np.isin(self.batch[:, 2], self.neg_e).any()
         assert np.isin(self.batch[:, 1], self.neg_r).any()
 
-    def test_shared_step_equals_per_example_step_with_the_shared_set(self, monkeypatch):
-        draws = iter([self.neg_e, self.neg_r])
-        monkeypatch.setattr(
-            training, "negatives_for_batch",
-            lambda labels, size, count, rng: np.tile(next(draws), (len(labels), 1)),
-        )
+    def test_shared_step_equals_per_example_step_with_the_shared_set(self, fix_negatives):
+        rows = len(self.batch)
+        fix_negatives(np.tile(self.neg_e, (rows, 1)), np.tile(self.neg_r, (rows, 1)))
         loss, grads = batch_loss_and_grads(
             self.params, self.batch, self.config, negative_rng=np.random.default_rng(3)
         )
@@ -158,15 +153,17 @@ class TestNegativeModes:
         for (name, got), (_, want) in zip(named_tensors(grads), named_tensors(self.shared_grads)):
             assert np.array_equal(got, want), name
 
-    def test_shared_negative_equal_to_a_label_leaves_that_row(self):
-        neg_e, neg_r = self.neg_e, self.neg_r
+    def test_shared_negative_equal_to_a_label_leaves_that_row(self, fix_negatives):
+        row_sets = [(self.neg_e[self.neg_e != o], self.neg_r[self.neg_r != r])
+                    for _, r, o in self.batch]
+        fix_negatives(*(negatives[None, :] for pair in row_sets for negatives in pair))
         rows = [
             batch_loss_and_grads(
-                self.params, np.array([[s, r, o]]), self.config,
-                entity_candidates=np.array([[o, *neg_e[neg_e != o]]]),
-                relation_candidates=np.array([[r, *neg_r[neg_r != r]]]),
+                self.params, np.array([[s, r, o]]),
+                dataclasses.replace(self.config, entity_negatives=len(neg_e),
+                                    relation_negatives=len(neg_r)),
             )
-            for s, r, o in self.batch
+            for (s, r, o), (neg_e, neg_r) in zip(self.batch, row_sets)
         ]
         assert self.shared_loss == pytest.approx(np.mean([loss for loss, _ in rows]), rel=1e-12)
         for name, got in named_tensors(self.shared_grads):
@@ -174,55 +171,19 @@ class TestNegativeModes:
             assert np.allclose(got, want, rtol=1e-9, atol=1e-15), name
 
 
-class TestExplicitCandidates:
-    @pytest.mark.parametrize(
-        "cand_e, match",
-        [
-            ([[2, 0, 0]], "repeats an id"),
-            ([[2, 0, 2]], "repeats an id"),
-            ([[0, 2, 4]], "column 0"),
-            ([[2, -1, 4]], "out of range"),
-            ([[2, 6, 4]], "out of range"),
-            ([[2, 0], [1, 3]], "matrix"),
-            ([[2.0, 0.0, 4.0]], "integer id matrix"),
-        ],
-    )
-    def test_bad_entity_candidates_rejected(self, cand_e, match):
-        params = make_params(num_entities=6, num_relations=4)
-        with pytest.raises(ValueError, match=match):
-            batch_loss_and_grads(params, np.array([[0, 1, 2]]), small_config(),
-                                 entity_candidates=np.array(cand_e),
-                                 relation_candidates=np.array([[1, 0, 3]]))
-
-    @pytest.mark.parametrize(
-        "cand_r, match",
-        [([[1, 3, 3]], "repeats an id"), ([[0, 1, 3]], "column 0"), ([[1, 0, 4]], "out of range")],
-    )
-    def test_bad_relation_candidates_rejected(self, cand_r, match):
-        params = make_params(num_entities=6, num_relations=4)
-        with pytest.raises(ValueError, match=match):
-            batch_loss_and_grads(params, np.array([[0, 1, 2]]), small_config(),
-                                 entity_candidates=np.array([[2, 0, 4]]),
-                                 relation_candidates=np.array(cand_r), want_grads=False)
-
-
-def finite_difference_max_error(params, batch, config, cand_e=None, cand_r=None,
-                                coords_per_tensor=None, negative_seed=None):
+def finite_difference_max_error(params, batch, config, coords_per_tensor=None,
+                                negative_seed=None):
     """Worst relative error of the analytic grads against central differences.
 
-    Without explicit candidates the negatives are drawn, from a generator
-    re-seeded with ``negative_seed`` for every loss call, so each call sees
-    the same negative sets.
+    The negatives are either fixed by ``fix_negatives`` or drawn from a
+    generator re-seeded with ``negative_seed`` for every loss call, so each
+    call sees the same negative sets.
     """
-    def kwargs():
+    def loss_and_grads():
         rng = None if negative_seed is None else np.random.default_rng(negative_seed)
-        return dict(entity_candidates=cand_e, relation_candidates=cand_r, negative_rng=rng)
+        return batch_loss_and_grads(params, batch, config, negative_rng=rng)
 
-    def loss_fn():
-        loss, _ = batch_loss_and_grads(params, batch, config, want_grads=False, **kwargs())
-        return loss
-
-    _, grads = batch_loss_and_grads(params, batch, config, **kwargs())
+    _, grads = loss_and_grads()
     step = 1e-5
     worst = 0.0
     rng = np.random.default_rng(0)
@@ -234,9 +195,9 @@ def finite_difference_max_error(params, batch, config, cand_e=None, cand_r=None,
         for i in indices:
             original = flat[i]
             flat[i] = original + step
-            up = loss_fn()
+            up = loss_and_grads()[0]
             flat[i] = original - step
-            down = loss_fn()
+            down = loss_and_grads()[0]
             flat[i] = original
             numeric = (up - down) / (2 * step)
             err = abs(numeric - gflat[i]) / max(abs(numeric), abs(gflat[i]), 1e-6)
@@ -245,27 +206,25 @@ def finite_difference_max_error(params, batch, config, cand_e=None, cand_r=None,
 
 
 class TestBackward:
-    def test_finite_differences_two_layer(self):
+    def test_finite_differences_two_layer(self, fix_negatives):
         params = make_params(num_entities=6, num_relations=4, embed_dim=3, num_layers=2)
         batch = np.array([[0, 1, 2], [3, 0, 1], [5, 2, 4]])
         cand_e = np.array([[2, 0, 4], [1, 3, 5], [4, 0, 2]])
         cand_r = np.array([[1, 0, 3], [0, 2, 1], [2, 3, 0]])
         config = small_config(embed_dim=3, num_layers=2)
-        worst = finite_difference_max_error(
-            params, batch, config, cand_e, cand_r, coords_per_tensor=24
-        )
+        fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
+        worst = finite_difference_max_error(params, batch, config, coords_per_tensor=24)
         assert worst < 1e-4
 
-    def test_finite_differences_shared_arch(self):
+    def test_finite_differences_shared_arch(self, fix_negatives):
         params = make_params(num_entities=6, num_relations=4, embed_dim=3,
                              num_layers=2, arch="shared")
         batch = np.array([[0, 1, 2], [3, 0, 1]])
         cand_e = np.array([[2, 0, 4], [1, 3, 5]])
         cand_r = np.array([[1, 0, 3], [0, 2, 1]])
         config = small_config(embed_dim=3, num_layers=2, arch="shared-2")
-        worst = finite_difference_max_error(
-            params, batch, config, cand_e, cand_r, coords_per_tensor=24
-        )
+        fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
+        worst = finite_difference_max_error(params, batch, config, coords_per_tensor=24)
         assert worst < 1e-4
 
     @pytest.mark.parametrize("shared", [True, False])
@@ -285,28 +244,27 @@ class TestBackward:
         )
         assert worst < 1e-4
 
-    def test_grads_hold_exactly_the_architecture_tensors(self):
+    def test_grads_hold_exactly_the_architecture_tensors(self, fix_negatives):
         batch = np.array([[0, 1, 2], [3, 0, 1]])
         cand_e = np.array([[2, 0, 4], [1, 3, 5]])
         cand_r = np.array([[1, 0, 3], [0, 2, 1]])
+        fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
         for arch, variant in (("dskg", "dskg"), ("shared", "shared-2")):
             params = make_params(num_layers=2, arch=arch)
-            _, grads = batch_loss_and_grads(params, batch, small_config(num_layers=2, arch=variant),
-                                            entity_candidates=cand_e, relation_candidates=cand_r)
+            _, grads = batch_loss_and_grads(params, batch, small_config(num_layers=2, arch=variant))
             shapes = tensor_shapes(6, 4, 4, 2, arch)
             assert [(n, t.shape) for n, t in named_tensors(grads)] == list(shapes.items())
             assert all(np.all(np.isfinite(t)) for _, t in named_tensors(grads))
             assert list(adam_init(params).first) == list(shapes)
 
-    def test_shared_stack_accumulates_both_timesteps(self):
+    def test_shared_stack_accumulates_both_timesteps(self, fix_negatives):
         batch = np.array([[0, 1, 2], [3, 0, 1]])
         cand_e = np.array([[2, 0, 4], [1, 3, 5]])
         cand_r = np.array([[1, 0, 3], [0, 2, 1]])
+        fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
         dskg, shared = equalized_pair(make_params(num_layers=2))
-        _, g_dskg = batch_loss_and_grads(dskg, batch, small_config(num_layers=2),
-                                         entity_candidates=cand_e, relation_candidates=cand_r)
-        _, g_shared = batch_loss_and_grads(shared, batch, small_config(num_layers=2, arch="shared-2"),
-                                           entity_candidates=cand_e, relation_candidates=cand_r)
+        _, g_dskg = batch_loss_and_grads(dskg, batch, small_config(num_layers=2))
+        _, g_shared = batch_loss_and_grads(shared, batch, small_config(num_layers=2, arch="shared-2"))
         for layer in range(2):
             for field in ("w_x", "w_h", "b"):
                 both = (g_dskg.tensors[f"entity_cells.{layer}.{field}"]
@@ -328,24 +286,23 @@ class TestBackward:
             assert np.any(grads.tensors[f"entity_cells.{layer}.w_x"])
             assert np.any(grads.tensors[f"relation_cells.{layer}.w_h"])
 
-    def test_saturated_softmax_kills_gradient(self):
+    def test_saturated_softmax_kills_gradient(self, fix_negatives):
         params = make_params(num_entities=6, num_relations=4)
         params.entity_out_b[2] = 1e6
         params.relation_out_b[1] = 1e6
         batch = np.array([[0, 1, 2]])
         cand_e = np.array([[2, 0, 4]])
         cand_r = np.array([[1, 0, 3]])
-        _, grads = batch_loss_and_grads(params, batch, small_config(),
-                                        entity_candidates=cand_e, relation_candidates=cand_r)
+        fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
+        _, grads = batch_loss_and_grads(params, batch, small_config())
         for _, grad in named_tensors(grads):
             assert np.max(np.abs(grad)) < 1e-9
 
-    def test_untouched_embedding_rows_zero(self):
+    def test_untouched_embedding_rows_zero(self, fix_negatives):
         params = make_params(num_entities=6, num_relations=4)
         batch = np.array([[0, 1, 2]])
-        _, grads = batch_loss_and_grads(params, batch, small_config(),
-                                        entity_candidates=np.array([[2, 3, 4]]),
-                                        relation_candidates=np.array([[1, 0, 2]]))
+        fix_negatives(np.array([[3, 4]]), np.array([[0, 2]]))
+        _, grads = batch_loss_and_grads(params, batch, small_config())
         assert np.all(grads.entity_embed[5] == 0)
         assert np.all(grads.relation_embed[3] == 0)
         assert np.any(grads.entity_embed[0] != 0)
