@@ -11,9 +11,12 @@ All four reports (plain and enhanced, entity and cascade) come from one pass,
 ``evaluate_variants``: each chunk of queries is scored once, and its
 ``(chunk, N)`` probability block is ranked in one step against the known
 answers, which ``IndexedDataset.answer_spans`` finds in the sorted triple
-keys. Enhancement raises the relation matrix to alpha once per pass, only for
-the reverse relations the queries use. Memory stays bounded by the chunk: a
-few ``(chunk, N)`` temporaries per worker, plus that ``(U, N)`` reverse-power
+keys. Enhancement needs ``p(r | e) ** alpha`` only for the reverse relations
+the queries use: ``relation_prob_matrix`` fills that ``(U, N)`` block one
+entity chunk at a time, so no ``(N, R)`` relation matrix is built, and each
+query's row multiplies its probabilities in place. Memory is bounded by the
+chunk: each worker thread keeps one logits and one probability buffer for
+the length of a pass and scores every chunk into them, plus that ``(U, N)``
 block. Every score passes through ``_softmax64``, which raises ValueError on a
 row it cannot normalize (a NaN or +inf logit, or all -inf), so a diverged
 model never reports a perfect rank. ``evaluate_entity_prediction``
@@ -24,6 +27,7 @@ one-query definitions the batched ranks are tested against.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -86,8 +90,10 @@ def metrics_from_ranks(ranks, keep_ranks: bool = False, relation_ranks=None) -> 
     )
 
 
-def _softmax64(raw: np.ndarray) -> np.ndarray:
-    scores = raw.astype(np.float64)
+def _softmax64(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Float64 softmax of each row of ``raw``, written into ``out`` if given."""
+    scores = np.empty(raw.shape) if out is None else out
+    np.copyto(scores, raw)
     top = scores.max(axis=-1, keepdims=True)
     # NaN or +inf anywhere in a row, or a row of all -inf, makes its max
     # non-finite; every other row gives finite probabilities.
@@ -99,33 +105,70 @@ def _softmax64(raw: np.ndarray) -> np.ndarray:
     return scores
 
 
-def entity_scores_batch(params: ModelParams, subjects, relations) -> np.ndarray:
-    """Probability rows over all entities for (s, r, ?) queries."""
+def entity_scores_batch(params: ModelParams, subjects, relations, out=None) -> np.ndarray:
+    """Probability rows over all entities for (s, r, ?) queries.
+
+    ``out``, if given, is a ``(logits, probs)`` pair of C-contiguous
+    ``(len(subjects), N)`` arrays of ``params.dtype`` and float64, as
+    ``_score_buffers`` hands out. The scores are written into them with the
+    same bits, and ``probs`` is returned.
+    """
     _, h_r, _ = forward_batch(params, subjects, relations)
-    return _softmax64(logits(params, h_r, "entity"))
+    raw, probs = (None, None) if out is None else out
+    return _softmax64(logits(params, h_r, "entity", out=raw), out=probs)
 
 
-def relation_scores_batch(params: ModelParams, subjects) -> np.ndarray:
+def relation_scores_batch(params: ModelParams, subjects, out=None) -> np.ndarray:
     """Probability rows over all relations given each subject entity.
 
     Runs only the entity step of the forward pass; the relation step of the
-    model never feeds back into this hidden state.
+    model never feeds back into this hidden state. ``out`` is as for
+    ``entity_scores_batch``, with rows of width R.
     """
     h_s, *_ = entity_step(params, subjects)
-    return _softmax64(logits(params, h_s, "relation"))
+    raw, probs = (None, None) if out is None else out
+    return _softmax64(logits(params, h_s, "relation", out=raw), out=probs)
+
+
+def _score_buffers(local: threading.local, rows: int, width: int, dtype):
+    """This thread's kept ``(rows, width)`` logits and probability arrays.
+
+    ``local`` belongs to one pass. A thread's arrays are made on its first
+    call, grown when a later call needs more, and freed with ``local`` when
+    the pass returns. Every call hands out views of the same memory, so a
+    thread must be done with one pair before it asks for the next.
+    """
+    size = rows * width
+    if len(getattr(local, "probs", ())) < size:
+        local.raw = np.empty(size, dtype)
+        local.probs = np.empty(size)
+    return local.raw[:size].reshape(rows, width), local.probs[:size].reshape(rows, width)
 
 
 def relation_prob_matrix(
-    params: ModelParams, chunk: int = 1024, workers: int = 1
+    params: ModelParams, relations, alpha: float, chunk: int = 1024, workers: int = 1
 ) -> np.ndarray:
-    """(num_entities, num_relations) relation probabilities, one batched pass."""
-    rows = map_chunks(
-        lambda span: relation_scores_batch(params, np.arange(span[0], span[1])),
-        params.num_entities,
-        chunk,
-        workers,
-    )
-    return np.concatenate(list(rows), axis=0)
+    """``p(r | e) ** alpha`` for the given relations, as a C-contiguous
+    ``(len(relations), N)`` block.
+
+    Row i holds every entity's probability of ``relations[i]`` given the
+    entity, raised to alpha. Entities are scored ``chunk`` at a time on
+    ``workers`` threads, each into its own kept ``(chunk, R)`` buffers, and
+    each chunk's columns are raised straight into its slice of the block, so
+    the full ``(N, R)`` matrix is never built.
+    """
+    relations = np.asarray(relations, dtype=np.int64)
+    power = np.empty((len(relations), params.num_entities))
+    local = threading.local()
+
+    def fill(span):
+        lo, hi = span
+        buffers = _score_buffers(local, hi - lo, params.num_relations, params.dtype)
+        probs = relation_scores_batch(params, np.arange(lo, hi), out=buffers)
+        np.power(probs[:, relations].T, alpha, out=power[:, lo:hi])
+
+    deque(map_chunks(fill, params.num_entities, chunk, workers), maxlen=0)
+    return power
 
 
 def filtered_rank(scores, gold: int, known, *, pessimistic: bool = False) -> int:
@@ -176,10 +219,13 @@ def map_chunks(fn, total: int, chunk: int, workers: int):
     next span is scored. With more workers the spans run on a thread pool,
     at most ``2 * workers`` of them submitted and not yet consumed, so
     finished results cannot pile up behind a slow consumer. ``workers < 1``
-    raises ``ValueError`` at the call, before any span is scored.
+    or ``chunk < 1`` raises ``ValueError`` at the call, before any span is
+    scored.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     spans = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
     if workers == 1 or len(spans) <= 1:
         return map(fn, spans)
@@ -248,23 +294,10 @@ VARIANTS = ("entity_plain", "entity_enhanced", "cascade_plain", "cascade_enhance
 
 
 def _reverse_power_block(params, relations, rev, alpha: float, workers: int):
-    """Rows of ``reverse_prob ** alpha`` for the reverse relations ``relations`` use.
-
-    Returns the C-contiguous ``(U, N)`` block over the U distinct reverse
-    relations, and each query's row in it. The ``(N, R)`` relation matrix is
-    built once, read in cache-sized row blocks as the block is filled, and
-    dropped on return.
-    """
+    """The ``(U, N)`` block of ``reverse_prob ** alpha`` over the U distinct
+    reverse relations that ``relations`` use, and each query's row in it."""
     used, row_of = np.unique(rev[relations], return_inverse=True)
-    matrix = relation_prob_matrix(params, workers=workers)
-    power = np.empty((len(used), len(matrix)))
-
-    def fill(span):
-        lo, hi = span
-        np.power(matrix[lo:hi, used].T, alpha, out=power[:, lo:hi])
-
-    deque(map_chunks(fill, len(matrix), 512, workers), maxlen=0)
-    return power, row_of
+    return relation_prob_matrix(params, used, alpha, workers=workers), row_of
 
 
 def _rank_pass(params, dataset, *, plain, alpha, relation, split, chunk, pessimistic, workers):
@@ -272,37 +305,48 @@ def _rank_pass(params, dataset, *, plain, alpha, relation, split, chunk, pessimi
 
     Returns a dict with the filtered entity ranks ``"plain"`` (if ``plain``),
     ``"enhanced"`` (if ``alpha`` is not None) and the unfiltered relation
-    ranks ``"relation"`` (if ``relation``). Temporaries are bounded by
-    ``chunk`` x N per worker, plus the reverse-power block when enhancing.
+    ranks ``"relation"`` (if ``relation``). Each thread scores its chunks
+    into one set of kept ``chunk`` x N buffers, which is safe because a chunk
+    is fully ranked before its thread scores the next one; the buffers go
+    when the pass returns. Enhancing adds the reverse-power block.
     """
     subjects, relations, golds = _both_direction_queries(dataset, split)
     lo, hi = dataset.answer_spans(subjects, relations)
     objects = dataset.answer_objects
-    if alpha is not None:
-        power, power_row = _reverse_power_block(
-            params, relations, dataset.vocab.reverse_of, alpha, workers
-        )
+    local = threading.local()
 
     def rank_span(span):
         q = slice(*span)
-        probs = entity_scores_batch(params, subjects[q], relations[q])
+        rows = span[1] - span[0]
+        buffers = _score_buffers(local, rows, params.num_entities, params.dtype)
+        probs = entity_scores_batch(params, subjects[q], relations[q], out=buffers)
         out = {}
         if plain:
             out["plain"] = filtered_ranks(
                 probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
             )
         if alpha is not None:
-            probs = np.multiply(power[power_row[q]], probs, out=probs)
+            for i, row in enumerate(power_row[q]):
+                np.multiply(power[row], probs[i], out=probs[i])
             out["enhanced"] = filtered_ranks(
                 probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
             )
         if relation:
+            # the entity rows are ranked, so their buffers take the relation rows
+            buffers = _score_buffers(local, rows, params.num_relations, params.dtype)
             out["relation"] = unfiltered_ranks(
-                relation_scores_batch(params, subjects[q]), relations[q], pessimistic=pessimistic
+                relation_scores_batch(params, subjects[q], out=buffers),
+                relations[q], pessimistic=pessimistic,
             )
         return out
 
-    parts = list(map_chunks(rank_span, len(subjects), chunk, workers))
+    # made first, so a bad chunk or worker count fails before the block is built
+    spans = map_chunks(rank_span, len(subjects), chunk, workers)
+    if alpha is not None:
+        power, power_row = _reverse_power_block(
+            params, relations, dataset.vocab.reverse_of, alpha, workers
+        )
+    parts = list(spans)
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
@@ -320,12 +364,14 @@ def evaluate_variants(
 ) -> dict[str, MetricsReport]:
     """Reports for the named ``VARIANTS`` from one pass over the split.
 
-    Each chunk is scored once, the relation matrix is built at most once, and
-    only the ranks the asked-for variants need are computed. ``entity_*`` are
+    Each chunk is scored once, the reverse-power block is built at most once,
+    and only the ranks the asked-for variants need are computed. ``entity_*`` are
     filtered entity ranks; ``cascade_*`` multiply them by the unfiltered
     relation rank; ``*_enhanced`` rescore with reverse-relation evidence.
     """
     variants = list(variants)
+    if not variants:
+        raise ValueError("no evaluation variant asked for")
     unknown = sorted(set(variants) - set(VARIANTS))
     if unknown:
         raise ValueError(f"unknown evaluation variants: {unknown}")

@@ -359,8 +359,14 @@ def forward_batch(
     return h_s, h_r, cache
 
 
-def logits(params: ModelParams, h: np.ndarray, kind: str) -> np.ndarray:
-    """Unscaled label scores: row(label) . h + bias(label) over one whole type block."""
+def logits(
+    params: ModelParams, h: np.ndarray, kind: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unscaled label scores: row(label) . h + bias(label) over one whole type block.
+
+    With ``out`` (a C-contiguous array of the scores' shape and ``params.dtype``)
+    the scores are written into it and it is returned, with the same bits.
+    """
     if kind == "entity":
         weight, bias = params.entity_out_w, params.entity_out_b
     elif kind == "relation":
@@ -370,7 +376,11 @@ def logits(params: ModelParams, h: np.ndarray, kind: str) -> np.ndarray:
     h = np.asarray(h)
     if h.shape[-1] != params.embed_dim:
         raise ValueError("hidden vector has wrong width")
-    return h @ weight.T + bias
+    if out is None:
+        return h @ weight.T + bias
+    np.matmul(h, weight.T, out=out)
+    out += bias
+    return out
 
 
 def save_checkpoint(params: ModelParams, path):

@@ -92,6 +92,21 @@ class TestStage1:
         assert np.array_equal(one.triples, two.triples)
         assert np.array_equal(one.scores, two.scores)
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_rejected_before_scoring(self, monkeypatch, chunk):
+        scored = []
+        monkeypatch.setattr(beam, "relation_scores_batch", lambda *a, **k: scored.append(a))
+        monkeypatch.setattr(beam, "entity_scores_batch", lambda *a, **k: scored.append(a))
+        params = toy_params()
+        config = BeamConfig(stage1_window=4, stage2_window=4)
+        pairs = ScoredTriples(np.zeros((3, 2), dtype=np.int64), np.ones(3))
+        message = f"chunk must be >= 1, got {chunk}"
+        with pytest.raises(ValueError, match=message):
+            stage1_pairs(params, config, entity_chunk=chunk)
+        with pytest.raises(ValueError, match=message):
+            stage2_triples(params, pairs, config, pair_chunk=chunk)
+        assert scored == []
+
 
 def tied_params(relation_bias, entity_bias):
     """Zero output weights: every subject gets p(r|s) = softmax(relation_bias)

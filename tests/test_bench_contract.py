@@ -30,6 +30,42 @@ def test_tracer_finds_every_wrapped_name():
         tracer.uninstall()
 
 
+def test_traced_eval_scores_behind_the_wrapped_names():
+    """Each workload variant, run under the installed tracer on worker threads.
+
+    The per-layer eval metrics read the ``evaluation.scores`` spans outside
+    ``evaluation.relation_prob_matrix``; scoring that goes around either name
+    would leave those metrics silently short.
+    """
+    names = [f"e{i}" for i in range(12)]
+    train = [data.RawTriple(names[i], f"r{i % 3}", names[(i + 1) % 12]) for i in range(12)]
+    test = [data.RawTriple(names[i], f"r{i % 3}", names[(i + 5) % 12]) for i in range(0, 12, 2)]
+    dataset = data.index_dataset(train, test=test)
+    params = model.init_params(dataset.vocab.num_entities, dataset.vocab.num_relations, 4, 1,
+                               seed=0)
+    chunks = 3  # 12 queries in chunks of 5
+    tracer = tracing.install(tracing.Tracer())
+    try:
+        for name, fn_name, enhanced in workloads.VARIANTS:
+            with tracer.span(f"evaluation.{name}"):
+                getattr(evaluation, fn_name)(
+                    params, dataset, evaluation.EnhanceConfig(enabled=enhanced),
+                    chunk=5, workers=2,
+                )
+    finally:
+        tracer.uninstall()
+
+    scores = [span for span in tracer.spans if span[1] == "evaluation.scores"]
+    for name, fn_name, enhanced in workloads.VARIANTS:
+        (call,) = [span for span in tracer.spans if span[1] == f"evaluation.{name}"]
+        matrix = [span[0] for span in tracer.spans
+                  if span[1] == "evaluation.relation_prob_matrix" and span[4] == call[0]]
+        assert len(matrix) == (1 if enhanced else 0), name
+        assert len([span for span in scores if span[4] in matrix]) == len(matrix), name
+        queried = [span for span in scores if span[4] == call[0]]
+        assert len(queried) == chunks * (2 if fn_name == "evaluate_cascade" else 1), name
+
+
 # (function, positional arguments, keyword arguments) as the workloads and
 # oracles call them; the values stand in for the real ones.
 CALLS = [

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -138,15 +139,42 @@ class TestScoreVectors:
 
     def test_relation_prob_matrix_matches_rows(self):
         params = make_params(num_entities=6, num_relations=4)
-        matrix = relation_prob_matrix(params, chunk=2)
+        relations = [2, 0, 3]
+        block = relation_prob_matrix(params, relations, 0.5, chunk=4)  # a short last chunk
+        assert block.shape == (3, 6) and block.flags.c_contiguous
         for e in range(6):
-            assert np.allclose(matrix[e], relation_scores_batch(params, [e])[0], atol=1e-15)
+            expected = relation_scores_batch(params, [e])[0][relations] ** 0.5
+            assert np.allclose(block[:, e], expected, atol=1e-15)
 
     def test_worker_count_does_not_change_results(self):
         params = make_params(num_entities=10, num_relations=4)
-        one = relation_prob_matrix(params, chunk=3, workers=1)
-        two = relation_prob_matrix(params, chunk=3, workers=2)
+        one = relation_prob_matrix(params, [1, 3], 1 / 3, chunk=3, workers=1)
+        two = relation_prob_matrix(params, [1, 3], 1 / 3, chunk=3, workers=2)
         assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("kind", ["entity", "relation"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_buffers_hold_the_same_bits(self, kind, dtype):
+        params = make_params(num_entities=9, num_relations=4, dtype=dtype)
+        subjects, relations = [1, 4, 4, 0, 8], [0, 3, 1, 2, 2]
+        width = 9 if kind == "entity" else 4
+        raw, probs = np.full((5, width), np.nan, dtype), np.full((5, width), np.nan)
+
+        def score(out=None):
+            if kind == "entity":
+                return entity_scores_batch(params, subjects, relations, out=out)
+            return relation_scores_batch(params, subjects, out=out)
+
+        assert score(out=(raw, probs)) is probs
+        assert np.array_equal(probs, score())
+        assert np.array_equal(score(out=(raw, probs)), score())  # a used buffer too
+
+    def test_logits_out_holds_the_same_bits(self):
+        params = make_params(num_entities=9, num_relations=4, dtype=np.float32)
+        _, h_r, _ = forward_batch(params, [1, 2, 3], [0, 1, 2])
+        out = np.empty((3, 9), np.float32)
+        assert logits(params, h_r, "entity", out=out) is out
+        assert np.array_equal(out, logits(params, h_r, "entity"))
 
 
 class TestMapChunks:
@@ -325,11 +353,12 @@ class TestEnhancement:
         rev = ds.vocab.reverse_of
         relation = 1
         p_orig = entity_scores_batch(params, [0], [relation])[0]
-        refined = enhance_scores(p_orig, relation_prob_matrix(params)[:, rev[relation]], 1 / 3)
+        (power,) = relation_prob_matrix(params, [rev[relation]], 1 / 3)
         reverse = [relation_scores_batch(params, [e])[0][rev[relation]]
                    for e in range(params.num_entities)]
         expected = np.array(reverse) ** (1 / 3) * p_orig
-        assert np.allclose(refined, expected, atol=1e-15)
+        assert np.allclose(power * p_orig, expected, atol=1e-15)
+        assert np.allclose(enhance_scores(p_orig, reverse, 1 / 3), expected, atol=1e-15)
 
 
 class TestEntityPrediction:
@@ -476,6 +505,19 @@ class TestNonFiniteScores:
             with pytest.raises(ValueError, match="cannot rank non-finite scores"):
                 evaluation.evaluate_variants(params, ds, [variant])
 
+    @pytest.mark.parametrize("kind", ["entity", "relation"])
+    def test_nan_model_raises_into_out_buffers(self, kind):
+        ds, params = self.setup_model()
+        params.entity_out_w[...] = np.nan
+        params.relation_out_w[...] = np.nan
+        width = params.num_entities if kind == "entity" else params.num_relations
+        out = (np.empty((3, width), params.dtype), np.empty((3, width)))
+        with pytest.raises(ValueError, match="cannot rank non-finite scores"):
+            if kind == "entity":
+                entity_scores_batch(params, [0, 1, 2], [0, 1, 2], out=out)
+            else:
+                relation_scores_batch(params, [0, 1, 2], out=out)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_relation_weights_break_the_cascade(self, workers):
         ds, params = self.setup_model()
@@ -516,14 +558,14 @@ class TestScoringNames:
             for name in ("entity_scores_batch", "relation_scores_batch", "relation_prob_matrix")
         }
 
-        def entity(params, subjects, relations):
+        def entity(params, subjects, relations, **kwargs):
             calls["entity_rows"].append(len(subjects))
-            return originals["entity_scores_batch"](params, subjects, relations)
+            return originals["entity_scores_batch"](params, subjects, relations, **kwargs)
 
-        def relation(params, subjects):
+        def relation(params, subjects, **kwargs):
             if not calls["in_matrix"]:  # the matrix's own rows are not query scoring
                 calls["relation_rows"].append(len(subjects))
-            return originals["relation_scores_batch"](params, subjects)
+            return originals["relation_scores_batch"](params, subjects, **kwargs)
 
         def matrix(*args, **kwargs):
             calls["matrix"] += 1
@@ -581,3 +623,104 @@ class TestScoringNames:
         with pytest.raises(ValueError, match="split 'valid' has no triples to evaluate"):
             evaluate(params, ds, EnhanceConfig(enabled=enhanced), split="valid")
         assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+
+    def test_no_variant_asked_is_an_error_before_any_scoring(self, calls):
+        ds, params = self.setup_model()
+        with pytest.raises(ValueError, match="no evaluation variant asked for"):
+            evaluation.evaluate_variants(params, ds, [])
+        assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_is_named_before_any_scoring(self, calls, chunk):
+        ds, params = self.setup_model()
+        message = f"chunk must be >= 1, got {chunk}"
+        with pytest.raises(ValueError, match=message):
+            evaluation.evaluate_variants(params, ds, chunk=chunk)
+        assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+        with pytest.raises(ValueError, match=message):
+            evaluation.relation_prob_matrix(params, [0, 1], 0.5, chunk=chunk)
+
+
+class TestReusedBuffers:
+    """Each worker thread scores every chunk of a pass into one kept set of
+    buffers. No chunk size, worker count or earlier pass may show in a rank."""
+
+    @staticmethod
+    def oracle_ranks(params, ds, alpha=EnhanceConfig.alpha):
+        """Every variant's ranks, one query at a time through the reference oracles."""
+        rev = ds.vocab.reverse_of
+        reverse = np.array(
+            [relation_scores_batch(params, [e])[0] for e in range(params.num_entities)]
+        )
+        queries = augment_reverse(ds.test, ds.vocab).tolist()
+        ranks = {name: [] for name in evaluation.VARIANTS}
+        for s, r, o in queries:
+            probs = entity_scores_batch(params, [s], [r])[0]
+            known = ds.known_answers(s, r)
+            relation_rank = unfiltered_rank(relation_scores_batch(params, [s])[0], r)
+            for kind, scores in (
+                ("plain", probs), ("enhanced", enhance_scores(probs, reverse[:, rev[r]], alpha))
+            ):
+                rank = filtered_rank(scores, o, known)
+                ranks[f"entity_{kind}"].append(rank)
+                ranks[f"cascade_{kind}"].append(rank * relation_rank)
+        return {name: np.array(values) for name, values in ranks.items()}
+
+    @staticmethod
+    def pass_ranks(params, ds, **options):
+        reports = evaluation.evaluate_variants(params, ds, keep_ranks=True, **options)
+        return {name: report.ranks for name, report in reports.items()}
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        ds = random_toy_dataset(np.random.default_rng(31))
+        params = make_params(
+            num_entities=ds.vocab.num_entities, num_relations=ds.vocab.num_relations, seed=3
+        )
+        assert 2 * len(ds.test) % 3 and 2 * len(ds.test) % 7  # short last chunks
+        return ds, params, self.oracle_ranks(params, ds)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_ranks_match_one_chunk_and_the_oracles(self, model, chunk, workers):
+        ds, params, oracle = model
+        reference = self.pass_ranks(params, ds, chunk=256, workers=1)
+        ranks = self.pass_ranks(params, ds, chunk=chunk, workers=workers)
+        for name in evaluation.VARIANTS:
+            assert np.array_equal(ranks[name], reference[name]), name
+            assert np.array_equal(ranks[name], oracle[name]), name
+
+    def test_back_to_back_passes_rank_their_own_model(self, model):
+        ds, params, oracle = model
+        other = make_params(
+            num_entities=ds.vocab.num_entities, num_relations=ds.vocab.num_relations,
+            embed_dim=6, seed=4,
+        )
+        other_oracle = self.oracle_ranks(other, ds)
+        assert any(not np.array_equal(oracle[name], other_oracle[name])
+                   for name in evaluation.VARIANTS)
+        for model_params, expected in ((params, oracle), (other, other_oracle),
+                                       (params, oracle)):
+            ranks = self.pass_ranks(model_params, ds, chunk=3)
+            for name in evaluation.VARIANTS:
+                assert np.array_equal(ranks[name], expected[name]), name
+
+    def test_threads_never_share_a_buffer(self):
+        # More workers than cores and a short switch interval interleave the
+        # threads between numpy calls; buffers shared between threads then
+        # overwrite a block that another thread is still ranking.
+        ds = random_toy_dataset(np.random.default_rng(5), num_entities=200, num_relations=5,
+                                n_train=400, n_eval=150)
+        params = make_params(
+            num_entities=ds.vocab.num_entities, num_relations=ds.vocab.num_relations, embed_dim=8
+        )
+        reference = self.pass_ranks(params, ds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            passes = [self.pass_ranks(params, ds, chunk=1, workers=4) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for ranks in passes:
+            for name in evaluation.VARIANTS:
+                assert np.array_equal(ranks[name], reference[name]), name
