@@ -10,8 +10,12 @@ ascending) so results do not depend on chunking or worker count.
 Both stages keep their best candidates in one bounded pool of int64 keys
 whose ascending order is ascending id order (``e * R + r`` for a pair,
 ``(s * R + r) * N + o`` for a triple), selected by a partition on score and
-sorted only once, at the end. The precision curve tests its outputs against
-the dataset's sorted fact keys by binary search.
+sorted only once, at the end. Each scoring thread scores its chunks into one
+kept pair of buffers (``evaluation._score_buffers``), ``(entity_chunk, R)``
+in stage 1 and ``(pair_chunk, N)`` in stage 2, and cuts each block down to
+copies of the entries that can still enter the pool before it returns, so
+memory is one buffer pair per worker plus the survivors. The precision curve
+tests its outputs against the dataset's sorted fact keys by binary search.
 
 Both stages score through ``evaluation.relation_scores_batch`` and
 ``entity_scores_batch``, so a model with non-finite logits raises the same
@@ -20,12 +24,15 @@ ValueError as ranking does instead of yielding an empty beam.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IndexedDataset, Vocabulary, _encode_pairs, _encode_triples, check_key_range
-from .evaluation import entity_scores_batch, map_chunks, relation_scores_batch
+from .data import (
+    IndexedDataset, Vocabulary, _encode_pairs, _encode_triples, atomic_write, check_key_range,
+)
+from .evaluation import _score_buffers, entity_scores_batch, map_chunks, relation_scores_batch
 from .model import ModelParams
 
 
@@ -59,13 +66,21 @@ class _TopK:
 
     Each candidate is one int64 key built by ``_encode_pairs``, so ascending
     key order is ascending id order: a stage-1 key is ``e * R + r`` and a
-    stage-2 key is ``(s * R + r) * N + o``, the ``_encode_triples`` key. A
-    score block is filtered against the cutoff before any key is built, and
-    the pool is cut back to ``limit`` by a partition on score plus the
-    smallest keys of the tie band at the cutoff; only ``finish`` sorts.
+    stage-2 key is ``(s * R + r) * N + o``, the ``_encode_triples`` key.
+
+    The work is split between the threads that score and the one that
+    consumes. ``select`` runs on a scoring thread: it cuts a score block down
+    to copies of the entries that can still enter the pool, so the thread's
+    score buffers are free again when it returns. ``offer`` runs on the
+    consuming thread and folds those survivors into the pool, which it cuts
+    back to ``limit`` by a partition on score plus the smallest keys of the
+    tie band at the cutoff; only ``finish`` sorts. The pool holds the same
+    entries whatever the chunking, worker count or timing: every global
+    top-``limit`` candidate is within its own block's top ``limit``, and the
+    cutoff a scoring thread reads only ever rises.
 
     Scores must be finite: NaN fails every ``>= cutoff`` test and would be
-    dropped without a trace. The stages offer softmax blocks, which
+    dropped without a trace. The stages select from softmax blocks, which
     ``evaluation._softmax64`` has already checked.
     """
 
@@ -75,17 +90,32 @@ class _TopK:
         self.scores = np.empty(0, dtype=np.float64)
         self.cutoff = -np.inf
 
-    def offer(self, row_keys: np.ndarray, scores: np.ndarray):
-        """Offer a (rows, width) block; entry (i, j) has key ``row_keys[i] * width + j``."""
+    def select(self, row_keys: np.ndarray, scores: np.ndarray):
+        """Copies of the keys and scores in a (rows, width) block that may enter
+        the pool; entry (i, j) has key ``row_keys[i] * width + j``.
+
+        Safe on any thread. The cutoff is read once, and a stale one only lets
+        more entries through. When more than ``limit`` pass it, the block's
+        own ``limit``-th best score is used instead, keeping its whole tie band.
+        """
         width = scores.shape[1]
         flat = scores.reshape(-1)
-        index = np.flatnonzero(flat >= self.cutoff)  # ties at the cutoff may still win on keys
-        if not len(index):
-            return
+        passing = flat >= self.cutoff  # ties at the cutoff may still win on keys
+        if np.count_nonzero(passing) > self.limit:
+            kth = len(flat) - self.limit
+            passing = flat >= np.partition(flat, kth)[kth]
+        index = np.flatnonzero(passing)
         rows, cols = np.divmod(index, width)
-        self.keys = np.concatenate([self.keys, _encode_pairs(row_keys[rows], cols, width)])
-        self.scores = np.concatenate([self.scores, flat[index]])
-        if len(self.scores) >= 3 * self.limit:
+        return _encode_pairs(row_keys[rows], cols, width), flat[index]
+
+    def offer(self, keys: np.ndarray, scores: np.ndarray):
+        """Fold in the survivors of ``select``, on the consuming thread."""
+        keep = scores >= self.cutoff
+        self.keys = np.concatenate([self.keys, keys[keep]])
+        self.scores = np.concatenate([self.scores, scores[keep]])
+        # the first full pool is cut at once, so scoring threads get a finite
+        # cutoff early; after that the pool may grow to 3 * limit between cuts
+        if len(self.scores) >= (self.limit if self.cutoff == -np.inf else 3 * self.limit):
             self._compress()
 
     def _compress(self):
@@ -119,13 +149,15 @@ def stage1_pairs(
     num_relations = params.num_relations
     check_key_range(params.num_entities, num_relations)
     pool = _TopK(config.stage1_window)
+    local = threading.local()
 
-    def score_span(span):
+    def select_span(span):
         entities = np.arange(*span, dtype=np.int64)
-        return entities, relation_scores_batch(params, entities)
+        buffers = _score_buffers(local, len(entities), num_relations, params.dtype)
+        return pool.select(entities, relation_scores_batch(params, entities, out=buffers))
 
-    for entities, probs in map_chunks(score_span, params.num_entities, entity_chunk, workers):
-        pool.offer(entities, probs)
+    for keys, scores in map_chunks(select_span, params.num_entities, entity_chunk, workers):
+        pool.offer(keys, scores)
     keys, scores = pool.finish()
     return ScoredTriples(triples=np.column_stack(np.divmod(keys, num_relations)), scores=scores)
 
@@ -150,14 +182,16 @@ def stage2_triples(
     pool = _TopK(config.stage2_window)
     pair_ids, pair_scores = pairs.triples, pairs.scores
     pair_keys = _encode_pairs(pair_ids[:, 0], pair_ids[:, 1], num_relations)
+    local = threading.local()
 
-    def score_span(span):
+    def select_span(span):
         lo, hi = span
-        probs = entity_scores_batch(params, pair_ids[lo:hi, 0], pair_ids[lo:hi, 1])
+        buffers = _score_buffers(local, hi - lo, num_entities, params.dtype)
+        probs = entity_scores_batch(params, pair_ids[lo:hi, 0], pair_ids[lo:hi, 1], out=buffers)
         probs *= pair_scores[lo:hi, None]
-        return pair_keys[lo:hi], probs
+        return pool.select(pair_keys[lo:hi], probs)
 
-    for keys, scores in map_chunks(score_span, len(pair_ids), pair_chunk, workers):
+    for keys, scores in map_chunks(select_span, len(pair_ids), pair_chunk, workers):
         pool.offer(keys, scores)
     keys, scores = pool.finish()
     subject_relation, objects = np.divmod(keys, num_entities)
@@ -209,16 +243,15 @@ def precision_curve(
         canonicalize_triples(output.triples, vocab) if canonicalize else np.asarray(output.triples)
     )
     keys = _encode_triples(triples, vocab.num_relations, vocab.num_entities)
-    _, first = np.unique(keys, return_index=True)
-    kept = np.sort(first)  # rank order among deduplicated outputs
-    keys = keys[kept]
-
-    correct = _in_sorted(keys, dataset.correct_keys)
-    predictable = _in_sorted(keys, dataset.predict_keys)
+    distinct, first = np.unique(keys, return_index=True)
+    # searched in key order, then put in rank order among deduplicated outputs
+    rank_order = np.argsort(first)
+    correct = _in_sorted(distinct, dataset.correct_keys)[rank_order]
+    predictable = _in_sorted(distinct, dataset.predict_keys)[rank_order]
     cum_corr = np.cumsum(correct)
     cum_pred = np.cumsum(predictable)
 
-    total = len(keys)
+    total = len(distinct)
     if total == 0:
         return []
     grid = np.unique(
@@ -254,20 +287,25 @@ def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 
 
 def write_predictions(path, output: ScoredTriples, vocab: Vocabulary):
-    """Tab-separated (subject, relation, object, score) lines, best first."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Tab-separated (subject, relation, object, score) lines, best first.
+
+    Written atomically: a write that fails part-way leaves any previous file.
+    """
+    with atomic_write(path) as buf:
         for (s, r, o), score in zip(output.triples, output.scores):
-            handle.write(
+            buf.write(
                 f"{vocab.entity_labels[s]}\t{vocab.relation_labels[r]}\t"
-                f"{vocab.entity_labels[o]}\t{score:.12g}\n"
+                f"{vocab.entity_labels[o]}\t{score:.12g}\n".encode()
             )
 
 
 def write_curve(path, curve: list[CurvePoint]):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("n\tn_corr\tn_pred\tn_error\tp_n\n")
+    """The curve as a TSV with a header line, written atomically."""
+    with atomic_write(path) as buf:
+        buf.write(b"n\tn_corr\tn_pred\tn_error\tp_n\n")
         for point in curve:
             precision = "NA" if point.precision is None else f"{point.precision:.6f}"
-            handle.write(
+            buf.write(
                 f"{point.n}\t{point.n_corr}\t{point.n_pred}\t{point.n_error}\t{precision}\n"
+                .encode()
             )

@@ -1,3 +1,4 @@
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -148,7 +149,9 @@ class TestTieBands:
     @settings(max_examples=200, deadline=None)
     def test_pool_matches_sorted_oracle(self, data):
         # blocks arrive in any key order, as stage-2 pairs do, and take four
-        # score levels so tie bands straddle every cutoff
+        # score levels so tie bands straddle every cutoff; up to `lag` blocks
+        # are selected before the offers ahead of them, as on worker threads
+        # that read the cutoff while earlier results wait to be offered
         rows = data.draw(st.integers(1, 12))
         width = data.draw(st.integers(1, 4))
         row_keys = np.array(data.draw(st.permutations(range(rows))), dtype=np.int64)
@@ -158,9 +161,15 @@ class TestTieBands:
         ).reshape(rows, width)
         limit = data.draw(st.integers(1, rows * width))
         block = data.draw(st.integers(1, rows))
+        lag = data.draw(st.integers(0, 3))
         pool = beam._TopK(limit)
+        pending = []
         for lo in range(0, rows, block):
-            pool.offer(row_keys[lo : lo + block], scores[lo : lo + block])
+            pending.append(pool.select(row_keys[lo : lo + block], scores[lo : lo + block]))
+            if len(pending) > lag:
+                pool.offer(*pending.pop(0))
+        for survivors in pending:
+            pool.offer(*survivors)
         keys, kept = pool.finish()
         expected = sorted(
             (-scores[i, j], int(row_keys[i]) * width + j)
@@ -169,6 +178,46 @@ class TestTieBands:
         )[:limit]
         assert keys.tolist() == [key for _, key in expected]
         assert kept.tolist() == [-score for score, _ in expected]
+
+    def test_select_keeps_the_whole_tie_band_at_the_block_threshold(self):
+        # limit 2: the block's 2nd best score is 0.5, and four entries share it
+        scores = np.array([[0.5, 1.0, 0.5], [0.5, 0.25, 0.5]])
+        pool = beam._TopK(2)
+        keys, kept = pool.select(np.array([7, 3]), scores)
+        assert keys.tolist() == [21, 22, 23, 9, 11]
+        assert kept.tolist() == [0.5, 1.0, 0.5, 0.5, 0.5]
+        pool.offer(keys, kept)
+        assert pool.cutoff == 0.5  # the first full pool is cut at once
+        assert [k.tolist() for k in pool.finish()] == [[22, 9], [1.0, 0.5]]
+
+    def test_stale_cutoff_selects_more_but_never_loses_the_top(self):
+        pool = beam._TopK(2)
+        stale = pool.select(np.array([1]), np.array([[0.25, 0.125, 0.25]]))
+        pool.offer(*pool.select(np.array([0]), np.array([[1.0, 0.5, 0.5]])))
+        assert pool.cutoff == 0.5
+        # selected against -inf, the late block keeps its own top two
+        assert stale[0].tolist() == [3, 5]
+        pool.offer(*stale)
+        assert [k.tolist() for k in pool.finish()] == [[0, 1], [1.0, 0.5]]
+
+    def test_more_workers_than_cores_under_fast_switching_match_one_worker(self):
+        # scoring threads read the cutoff while the consuming thread raises
+        # it; an entry lost to a stale or torn read would change the output
+        rng = np.random.default_rng(0)
+        params = tied_params(rng.integers(0, 3, 6).astype(float),
+                             rng.integers(0, 3, 40).astype(float))
+        config = BeamConfig(stage1_window=30, stage2_window=200)
+        expected = stage2_triples(params, stage1_pairs(params, config), config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                pairs = stage1_pairs(params, config, entity_chunk=1, workers=4)
+                out = stage2_triples(params, pairs, config, pair_chunk=1, workers=4)
+                assert np.array_equal(out.triples, expected.triples)
+                assert np.array_equal(out.scores, expected.scores)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestKeyRange:
@@ -466,3 +515,19 @@ class TestWriters:
         rows = (tmp_path / "c.tsv").read_text().strip().split("\n")
         assert rows[0] == "n\tn_corr\tn_pred\tn_error\tp_n"
         assert len(rows) == len(curve) + 1
+
+    @pytest.mark.parametrize("writer", ["predictions", "curve"])
+    def test_failed_write_leaves_the_previous_file(self, tmp_path, writer):
+        ds = chain_dataset()
+        path = tmp_path / "out.tsv"
+        path.write_bytes(b"previous\n")
+        # each write fails on its second line, after the first has gone out
+        if writer == "predictions":
+            output = ScoredTriples(np.array([[0, 0, 1], [0, 0, 99]]), np.array([0.5, 0.25]))
+            with pytest.raises(IndexError):  # entity 99 has no label
+                beam.write_predictions(path, output, ds.vocab)
+        else:
+            with pytest.raises(AttributeError):  # None is not a CurvePoint
+                beam.write_curve(path, [beam.CurvePoint(1, 1, 1, 0, 1.0), None])
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]

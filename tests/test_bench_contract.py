@@ -66,6 +66,33 @@ def test_traced_eval_scores_behind_the_wrapped_names():
         assert len(queried) == chunks * (2 if fn_name == "evaluate_cascade" else 1), name
 
 
+def test_traced_beam_scores_every_chunk_behind_the_wrapped_name():
+    """Both beam stages, run under the installed tracer on worker threads.
+
+    ``beam.stage2_score_s`` and ``beam.topk_self_s`` split the stage-2 span
+    by the ``beam.stage2_score`` spans, and ``beam.stage2_candidates`` counts
+    the scores they return; a chunk scored around the wrapped name would book
+    its scoring as top-k time and leave the count short.
+    """
+    params = model.init_params(10, 4, 4, 1, seed=0)
+    config = beam.BeamConfig(stage1_window=9, stage2_window=12)
+    tracer = tracing.install(tracing.Tracer())
+    try:
+        with tracer.span("beam.stage1"):
+            pairs = beam.stage1_pairs(params, config, entity_chunk=3, workers=2)
+        with tracer.span("beam.stage2"):
+            output = beam.stage2_triples(params, pairs, config, pair_chunk=2, workers=2)
+    finally:
+        tracer.uninstall()
+
+    assert len(pairs) == 9 and len(output) == 12
+    (stage2,) = [span[0] for span in tracer.spans if span[1] == "beam.stage2"]
+    scored = [span for span in tracer.spans if span[1] == "beam.stage2_score"]
+    assert len(scored) == 5  # 9 pairs in chunks of 2
+    assert all(span[4] == stage2 for span in scored)
+    assert tracer.totals["beam.stage2_candidates"] == 9 * params.num_entities
+
+
 # (function, positional arguments, keyword arguments) as the workloads and
 # oracles call them; the values stand in for the real ones.
 CALLS = [
