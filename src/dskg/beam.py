@@ -5,7 +5,9 @@ given the entity and keeps the best ``stage1_window`` pairs. Stage 2 extends
 each surviving pair with every object entity, scoring a triple by
 p(r | s) * p(o | s, r), and keeps the best ``stage2_window`` triples, sorted
 by descending score. Ordering is a total order (score descending, then ids
-ascending) so results do not depend on chunking or worker count.
+ascending), so at a given chunk size the output is identical for any worker
+count. Across chunk sizes scores may move in their last bits, as BLAS picks
+its kernel by row count; the CLI fixes the chunk sizes.
 
 Both stages keep their best candidates in one bounded pool of int64 keys
 whose ascending order is ascending id order (``e * R + r`` for a pair,
@@ -74,10 +76,10 @@ class _TopK:
     score buffers are free again when it returns. ``offer`` runs on the
     consuming thread and folds those survivors into the pool, which it cuts
     back to ``limit`` by a partition on score plus the smallest keys of the
-    tie band at the cutoff; only ``finish`` sorts. The pool holds the same
-    entries whatever the chunking, worker count or timing: every global
-    top-``limit`` candidate is within its own block's top ``limit``, and the
-    cutoff a scoring thread reads only ever rises.
+    tie band at the cutoff; only ``finish`` sorts. Given the same scores, the
+    pool holds the same entries whatever the chunking, worker count or
+    timing: every global top-``limit`` candidate is within its own block's
+    top ``limit``, and the cutoff a scoring thread reads only ever rises.
 
     Scores must be finite: NaN fails every ``>= cutoff`` test and would be
     dropped without a trace. The stages select from softmax blocks, which

@@ -96,7 +96,8 @@ def cmd_prepare(args) -> int:
     data.save_dataset(dataset, cache_path)
     stats = data.dataset_stats(dataset)
     lines = [f"{key}={value}" for key, value in stats.items()]
-    (out_dir / "stats.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with data.atomic_write(out_dir / "stats.txt") as buf:
+        buf.write(("\n".join(lines) + "\n").encode())
     _echo_config(
         {"train": args.train, "valid": args.valid, "test": args.test, "out": str(out_dir)},
         out_dir,
@@ -199,7 +200,8 @@ def cmd_eval(args) -> int:
         enhanced = name.endswith("_enhanced")
         notes = [f"enhancement={'on (alpha=%g)' % options['alpha'] if enhanced else 'off'}"]
         text = evaluation.format_report(report, name, notes)
-        (out_dir / f"{name}.report").write_text(text, encoding="utf-8")
+        with data.atomic_write(out_dir / f"{name}.report") as buf:
+            buf.write(text.encode())
         if options["dump_ranks"]:
             evaluation.write_ranks_dump(out_dir / f"{name}.ranks.tsv", dataset, args.split, report)
         print(f"{name}: hits@1={report.hits1:.2f} hits@10={report.hits10:.2f} "

@@ -35,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import IndexedDataset
+from .data import IndexedDataset, atomic_write
 from .model import ModelParams, entity_step, forward_batch, logits
 
 
@@ -460,22 +460,19 @@ def format_report(report: MetricsReport, title: str, notes: Iterable[str] = ()) 
 
 
 def write_ranks_dump(path, dataset: IndexedDataset, split: str, report: MetricsReport):
-    """Per-query dump: s, r, o labels, direction, rank, relation_rank."""
+    """Per-query dump: s, r, o labels, direction, rank, relation_rank; atomic."""
     if report.ranks is None:
         raise ValueError("report was built without keep_ranks")
     triples = dataset.split(split)
     vocab = dataset.vocab
     n = len(triples)
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as buf:
         for qi in range(report.count):
             direction = "tail" if qi < n else "head"
             s, r, o = triples[qi % n]
-            rel_rank = (
-                str(int(report.relation_ranks[qi]))
-                if report.relation_ranks is not None
-                else "-"
-            )
-            handle.write(
+            rel_rank = "-" if report.relation_ranks is None else int(report.relation_ranks[qi])
+            buf.write(
                 f"{vocab.entity_labels[s]}\t{vocab.relation_labels[r]}\t"
                 f"{vocab.entity_labels[o]}\t{direction}\t{int(report.ranks[qi])}\t{rel_rank}\n"
+                .encode()
             )

@@ -10,15 +10,13 @@ top-layer hidden state after step 1 scores relations, the one after step 2
 scores entities, each through its own output projection.
 
 The zero state of step 1 is passed as ``None``, and :func:`lstm_forward` and
-:func:`lstm_backward` skip the matmuls against it. Its recurrent weights
-therefore get no gradient: in "dskg" the ``entity_cells.*.w_h`` tensors keep
-their initial values through training (they are stored all the same, so the
-checkpoint layout is the one of every other stack).
+:func:`lstm_backward` skip the matmuls against it. A stack run only at step 1
+(``entity_cells`` in "dskg") therefore stores no recurrent weights ``w_h``.
 
-Checkpoint layout (version 2): magic ``DSKGCKPT``, version byte, header
+Checkpoint layout (version 3): magic ``DSKGCKPT``, version byte, header
 (num_entities, num_relations, embed_dim, num_layers as little-endian uint32,
 architecture byte), then every tensor from :func:`named_tensors` in order as
-little-endian float32. Only the stacks the architecture runs are stored.
+little-endian float32. Only the tensors the architecture runs are stored.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ _STEP_STACKS = {
 }
 
 CHECKPOINT_MAGIC = b"DSKGCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # After the magic: version, entities, relations, embed dim, layers, architecture code.
 _HEADER = struct.Struct("<B4IB")
 
@@ -62,12 +60,12 @@ class CellParams:
 
     # Gate rows within the stacked weight matrices: input, forget, candidate, output.
     w_x: np.ndarray  # (4h, input_dim)
-    w_h: np.ndarray  # (4h, h)
+    w_h: np.ndarray | None  # (4h, h); None for a stack run only at step 1
     b: np.ndarray  # (4h,)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.shape[1]
+        return self.b.shape[0] // 4
 
 
 def _tensor(name: str):
@@ -79,8 +77,8 @@ class ModelParams:
     """Trainable tensors as an ordered name -> array map, plus the architecture.
 
     The map holds embeddings, output projections and only the cell stacks the
-    architecture runs (``<stack>.<layer>.{w_x,w_h,b}``), in checkpoint order.
-    Gradients and optimizer state use the same layout.
+    architecture runs (``<stack>.<layer>.{w_x,w_h,b}``; no step-1-only ``w_h``)
+    in checkpoint order. Gradients and optimizer state use the same layout.
     """
 
     tensors: dict[str, np.ndarray]
@@ -128,13 +126,15 @@ def named_tensors(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 def tensor_shapes(
     num_entities: int, num_relations: int, embed_dim: int, num_layers: int, arch: str
 ) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor an architecture stores, in checkpoint order."""
+    """Name -> shape of every tensor an architecture stores, in checkpoint order.
+    A stack stores ``w_h`` only if it runs at step 2: step 1 starts from zero."""
     k = embed_dim
     shapes = {"entity_embed": (num_entities, k), "relation_embed": (num_relations, k)}
     for stack in dict.fromkeys(_STEP_STACKS[arch]):
         for layer in range(num_layers):
             shapes[f"{stack}.{layer}.w_x"] = (4 * k, k)
-            shapes[f"{stack}.{layer}.w_h"] = (4 * k, k)
+            if stack == _STEP_STACKS[arch][1]:
+                shapes[f"{stack}.{layer}.w_h"] = (4 * k, k)
             shapes[f"{stack}.{layer}.b"] = (4 * k,)
     shapes.update(
         entity_out_w=(num_entities, k),
@@ -175,7 +175,7 @@ def init_params(
         "entity_embed": _glorot(rng, num_entities, k, dtype),
         "relation_embed": _glorot(rng, num_relations, k, dtype),
     }
-    # All three stacks are drawn, in this order, whichever ones the
+    # All three stacks are drawn in full, in this order, whichever tensors the
     # architecture keeps: a seed then gives the same weights as in checkpoint
     # version 1, which stored all three, so training from a seed is unchanged.
     for stack in ("entity_cells", "relation_cells", "shared_cells"):
@@ -198,12 +198,12 @@ def active_cells(params: ModelParams, timestep: int) -> list[CellParams]:
     """Views of the cells run at a timestep (0: entity step, 1: relation step).
 
     Works on a gradient map too; in the shared architecture both timesteps
-    return views of the same arrays.
+    return views of the same arrays. A stack that stores no ``w_h`` gives None.
     """
     stack = _STEP_STACKS[params.arch][timestep]
     t = params.tensors
     return [
-        CellParams(t[f"{stack}.{layer}.w_x"], t[f"{stack}.{layer}.w_h"], t[f"{stack}.{layer}.b"])
+        CellParams(t[f"{stack}.{layer}.w_x"], t.get(f"{stack}.{layer}.w_h"), t[f"{stack}.{layer}.b"])
         for layer in range(params.num_layers)
     ]
 

@@ -371,7 +371,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, learnin
 @dataclass
 class TrainResult:
     params: ModelParams
-    final_params: ModelParams
     log: list[str] = field(default_factory=list)
     best_val_mrr: float | None = None
     epochs_run: int = 0
@@ -393,7 +392,8 @@ def train(
     best-scoring parameters are kept and training stops after ``patience``
     consecutive non-improving evaluations or at the epoch cap. Log lines are
     ``epoch, mean_loss, val_MRR, val_Hits@10, elapsed_seconds``,
-    tab-separated, with ``-`` for epochs without evaluation.
+    tab-separated, with ``-`` for epochs without evaluation; ``log_path`` is
+    started afresh, replacing the log of any earlier run.
     """
     from .evaluation import EnhanceConfig, evaluate_entity_prediction
 
@@ -417,11 +417,11 @@ def train(
             )
             return report.mrr, report.hits10
 
-    result = TrainResult(params=params, final_params=params)
+    result = TrainResult(params=params)
     best_mrr = -np.inf
     bad_evals = 0
     started = time.perf_counter()
-    log_handle = open(log_path, "a", encoding="utf-8") if log_path else None
+    log_handle = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(1, config.epochs + 1):
             negative_rng = np.random.default_rng([config.seed, 2, epoch])
@@ -480,9 +480,7 @@ def train(
         if log_handle:
             log_handle.close()
 
-    result.final_params = params
-    if result.best_val_mrr is None:
-        result.params = params
-        if checkpoint_path:
-            save_checkpoint(params, checkpoint_path)
+    # No evaluation improved, so ``result.params`` is still ``params``, the last weights.
+    if result.best_val_mrr is None and checkpoint_path:
+        save_checkpoint(params, checkpoint_path)
     return result

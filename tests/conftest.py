@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from dskg import data, training
-from dskg.model import ARCH_SHARED, ModelParams, init_params, named_tensors
+from dskg.model import ARCH_SHARED, ModelParams, init_params, named_tensors, tensor_shapes
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -22,8 +22,9 @@ def scalar_lstm_oracle(cell, x, h_prev, c_prev):
         pre = cell.b[row]
         for j in range(len(x)):
             pre += cell.w_x[row][j] * x[j]
-        for j in range(hidden):
-            pre += cell.w_h[row][j] * h_prev[j]
+        if cell.w_h is not None:  # a cell run only from the zero state stores none
+            for j in range(hidden):
+                pre += cell.w_h[row][j] * h_prev[j]
         return pre
 
     h_new, c_new = [], []
@@ -50,21 +51,23 @@ def make_params(num_entities=6, num_relations=4, embed_dim=4, num_layers=1,
 
 
 def equalized_pair(params):
-    """(dskg, shared) models whose every cell is ``params``' entity-step cell.
+    """(dskg, shared) models that run the same cell at both steps.
 
-    The dskg model gets its relation stack overwritten with its entity stack;
-    the shared model's one stack is built from that same entity stack.
+    The dskg model gets its relation stack's ``w_x`` and ``b`` overwritten
+    with its entity stack's and keeps its relation ``w_h``, since the entity
+    stack stores none. The shared model's one stack is a copy of that
+    relation stack.
     """
     dskg = params.copy()
     for name, tensor in dskg.tensors.items():
-        if name.startswith("relation_cells."):
-            tensor[...] = dskg.tensors[name.replace("relation_cells.", "entity_cells.", 1)]
+        entity_name = name.replace("relation_cells.", "entity_cells.", 1)
+        if name.startswith("relation_cells.") and entity_name in dskg.tensors:
+            tensor[...] = dskg.tensors[entity_name]
+    shapes = tensor_shapes(params.num_entities, params.num_relations, params.embed_dim,
+                           params.num_layers, ARCH_SHARED)
     shared = ModelParams(
-        {
-            name.replace("entity_cells.", "shared_cells.", 1): tensor.copy()
-            for name, tensor in dskg.tensors.items()
-            if not name.startswith("relation_cells.")
-        },
+        {name: dskg.tensors[name.replace("shared_cells.", "relation_cells.", 1)].copy()
+         for name in shapes},
         ARCH_SHARED,
         params.num_layers,
     )

@@ -539,6 +539,17 @@ class TestReportFormat:
         assert 0 < report.mrr <= 100
         assert report.mr >= 1
 
+    def test_failed_rank_dump_leaves_the_previous_file(self, tiny_dataset, tmp_path):
+        path = tmp_path / "ranks.tsv"
+        path.write_bytes(b"previous\n")
+        count = 2 * len(tiny_dataset.split("test"))  # tail then head queries
+        report = metrics_from_ranks(np.arange(1, count + 1), keep_ranks=True)
+        report.ranks = report.ranks[:-1]  # one short: the last row fails after the others
+        with pytest.raises(IndexError):
+            evaluation.write_ranks_dump(path, tiny_dataset, "test", report)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ranks.tsv"]
+
 
 class TestScoringNames:
     """Every eval call scores through the module names a profiler wraps.

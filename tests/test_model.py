@@ -42,14 +42,16 @@ class TestInit:
 
     def test_parameter_count_closed_form(self):
         num_entities, num_relations, k, layers = 10, 4, 64, 2
-        per_cell = 4 * k * k + 4 * k * k + 4 * k
-        for arch, stacks in (("dskg", 2), ("shared", 1)):
+        w_x = w_h = 4 * k * k
+        # A stack run only at step 1 (dskg's entity stack) stores no w_h.
+        for arch, cells in (("dskg", (w_x + 4 * k) + (w_x + w_h + 4 * k)),
+                            ("shared", w_x + w_h + 4 * k)):
             params = init_params(num_entities, num_relations, k, layers, arch=arch, seed=0)
             total = sum(t.size for _, t in named_tensors(params))
             expected = (
                 num_entities * k
                 + num_relations * k
-                + stacks * layers * per_cell
+                + layers * cells
                 + num_entities * k + num_entities
                 + num_relations * k + num_relations
             )
@@ -313,13 +315,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
-    def test_version_1_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_1_rejected(self, tmp_path, version):
         path = tmp_path / "ck.dskg"
         save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
         blob = bytearray(path.read_bytes())
-        blob[len(model.CHECKPOINT_MAGIC)] = 1
+        blob[len(model.CHECKPOINT_MAGIC)] = version
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
 
     def test_short_header_names_file(self, tmp_path):

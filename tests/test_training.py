@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -267,24 +268,28 @@ class TestBackward:
         _, g_shared = batch_loss_and_grads(shared, batch, small_config(num_layers=2, arch="shared-2"))
         for layer in range(2):
             for field in ("w_x", "w_h", "b"):
-                both = (g_dskg.tensors[f"entity_cells.{layer}.{field}"]
-                        + g_dskg.tensors[f"relation_cells.{layer}.{field}"])
+                # Step 1 runs from the zero state, so only step 2 adds to w_h.
+                both = g_dskg.tensors[f"relation_cells.{layer}.{field}"]
+                if field != "w_h":
+                    both = both + g_dskg.tensors[f"entity_cells.{layer}.{field}"]
                 assert np.allclose(g_shared.tensors[f"shared_cells.{layer}.{field}"], both,
                                    rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("arch", ["dskg", "shared-2"])
     @pytest.mark.parametrize("shared", [False, True])
-    def test_entity_step_recurrent_weights_get_no_gradient(self, shared):
-        # Step 1 starts from the zero state, so its w_h multiplies only zeros.
-        params = make_params(num_entities=6, num_relations=4, num_layers=2)
-        config = small_config(num_layers=2, keep_prob=0.7, shared_negatives=shared)
+    def test_every_stored_tensor_gets_a_gradient(self, tiny_dataset, arch, shared):
+        # A stored tensor with no gradient would never train. Step 1 runs from
+        # the zero state, so a stack run only at step 1 must store no w_h.
+        config = TrainConfig(arch=arch, shared_negatives=shared)
+        model_arch, layers = config.model_arch()
+        params = init_params(tiny_dataset.vocab.num_entities, tiny_dataset.vocab.num_relations,
+                             config.embed_dim, layers, arch=model_arch, seed=config.seed)
         _, grads = batch_loss_and_grads(
-            params, np.array([[0, 1, 2], [3, 0, 1], [5, 2, 4]]), config,
+            params, tiny_dataset.train, config,
             negative_rng=np.random.default_rng(1), dropout_rng=np.random.default_rng(2),
         )
-        for layer in range(2):
-            assert not np.any(grads.tensors[f"entity_cells.{layer}.w_h"])
-            assert np.any(grads.tensors[f"entity_cells.{layer}.w_x"])
-            assert np.any(grads.tensors[f"relation_cells.{layer}.w_h"])
+        for name, grad in named_tensors(grads):
+            assert np.any(grad), name
 
     def test_saturated_softmax_kills_gradient(self, fix_negatives):
         params = make_params(num_entities=6, num_relations=4)
@@ -393,6 +398,12 @@ def memorizable_kg(n_triples=50, n_relations=5):
     return index_dataset(train)
 
 
+def rising_metric():
+    """A validation metric that improves at every evaluation."""
+    calls = itertools.count(1)
+    return lambda params: (float(next(calls)), 0.0)
+
+
 class TestTrainLoop:
     def test_epoch_cap_zero_returns_initial_params(self, tiny_dataset):
         config = small_config(epochs=0, seed=9, precision="standard")
@@ -406,21 +417,6 @@ class TestTrainLoop:
         )
         for (_, got), (_, want) in zip(named_tensors(result.params), named_tensors(reference)):
             assert np.array_equal(got, want)
-
-    def test_entity_step_recurrent_weights_never_train(self, tiny_dataset):
-        config = small_config(num_layers=2, epochs=3, keep_prob=0.8, seed=4,
-                              precision="standard", learning_rate=0.05)
-        result = train(tiny_dataset, config, val_metric_fn=lambda p: (0.0, 0.0))
-        initial = init_params(
-            tiny_dataset.vocab.num_entities, tiny_dataset.vocab.num_relations,
-            config.embed_dim, 2, seed=4, dtype=np.float32,
-        )
-        for layer in range(2):
-            name = f"entity_cells.{layer}"
-            assert np.array_equal(result.final_params.tensors[f"{name}.w_h"],
-                                  initial.tensors[f"{name}.w_h"])
-            assert not np.array_equal(result.final_params.tensors[f"{name}.w_x"],
-                                      initial.tensors[f"{name}.w_x"])
 
     def test_memorizable_set_loss_drops_ninety_percent(self):
         ds = memorizable_kg(50)
@@ -460,13 +456,12 @@ class TestTrainLoop:
 
     def test_seed_determinism_of_log(self, tiny_dataset):
         config = small_config(epochs=4, precision="standard", seed=3, keep_prob=0.5)
-        first = train(tiny_dataset, config)
-        second = train(tiny_dataset, config)
+        first = train(tiny_dataset, config, val_metric_fn=rising_metric())
+        second = train(tiny_dataset, config, val_metric_fn=rising_metric())
         strip = lambda log: [line.split("\t")[:4] for line in log]
         assert strip(first.log) == strip(second.log)
-        for (_, a), (_, b) in zip(
-            named_tensors(first.final_params), named_tensors(second.final_params)
-        ):
+        # Every evaluation improves, so ``params`` are the last epoch's weights.
+        for (_, a), (_, b) in zip(named_tensors(first.params), named_tensors(second.params)):
             assert np.array_equal(a, b)
 
     def test_log_file_append(self, tiny_dataset, tmp_path):
@@ -476,6 +471,13 @@ class TestTrainLoop:
         lines = log_path.read_text().strip().split("\n")
         assert lines == result.log
         assert all(len(line.split("\t")) == 5 for line in lines)
+
+    def test_fresh_run_replaces_the_log(self, tiny_dataset, tmp_path):
+        log_path = tmp_path / "train.log"
+        train(tiny_dataset, small_config(epochs=3, precision="standard"), log_path=log_path)
+        second = train(tiny_dataset, small_config(epochs=2, precision="standard", seed=1),
+                       log_path=log_path)
+        assert log_path.read_text() == "".join(line + "\n" for line in second.log)
 
     @pytest.mark.parametrize("counts, message", [
         (dict(entity_negatives=0), r"entity_negatives must be in \[1, 4\), got 0"),
