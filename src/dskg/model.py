@@ -47,7 +47,11 @@ MAX_LAYERS = 4
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    """``1 / (1 + exp(-x))`` into one fresh contiguous array, finished in place."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 @dataclass
@@ -215,7 +219,8 @@ def lstm_forward(
 
     ``h_prev = c_prev = None`` means a zero state: the recurrent matmul and
     the forget-gate product are skipped, which gives the same bits as
-    passing zeros.
+    passing zeros. Each gate is computed from its slice of the
+    pre-activations into one fresh array and finished in place there.
     """
     hidden = cell.hidden_size
     if x.shape[-1] != cell.w_x.shape[1]:
@@ -234,7 +239,8 @@ def lstm_forward(
         c = gate_in * candidate
     else:
         gate_forget = _sigmoid(pre[:, hidden : 2 * hidden])
-        c = gate_forget * c_prev + gate_in * candidate
+        c = gate_forget * c_prev
+        c += gate_in * candidate
     tanh_c = np.tanh(c)
     h = gate_out * tanh_c
     cache = (x, h_prev, c_prev, gate_in, gate_forget, candidate, gate_out, tanh_c)
@@ -248,20 +254,32 @@ def lstm_backward(cell: CellParams, cache, dh: np.ndarray, dc: np.ndarray | None
     means no gradient reaches the cell state from above. For a step run from
     the zero state (``None`` in the cache) ``dh_prev``, ``dc_prev`` and
     ``grad_w_h`` are None: the state is a constant and ``w_h`` multiplied
-    only zeros.
+    only zeros. The gate gradients are written into the blocks of one array.
     """
     x, h_prev, c_prev, gate_in, gate_forget, candidate, gate_out, tanh_c = cache
-    dc_total = dh * gate_out * (1.0 - tanh_c * tanh_c)
+    factor = tanh_c * tanh_c
+    np.subtract(1.0, factor, out=factor)
+    dc_total = dh * gate_out
+    dc_total *= factor
     if dc is not None:
         dc_total += dc
-    d_pre_in = (dc_total * candidate) * gate_in * (1.0 - gate_in)
+    d_pre = np.empty((len(dc_total), 4 * dc_total.shape[1]), dtype=dc_total.dtype)
+    d_in, d_forget, d_cand, d_out = np.split(d_pre, 4, axis=1)
+    np.multiply(dc_total, candidate, out=d_in)
+    d_in *= gate_in
+    d_in *= np.subtract(1.0, gate_in, out=factor)
     if c_prev is None:
-        d_pre_forget = np.zeros_like(dc_total)
+        d_forget[...] = 0.0
     else:
-        d_pre_forget = (dc_total * c_prev) * gate_forget * (1.0 - gate_forget)
-    d_pre_cand = (dc_total * gate_in) * (1.0 - candidate * candidate)
-    d_pre_out = (dh * tanh_c) * gate_out * (1.0 - gate_out)
-    d_pre = np.concatenate([d_pre_in, d_pre_forget, d_pre_cand, d_pre_out], axis=1)
+        np.multiply(dc_total, c_prev, out=d_forget)
+        d_forget *= gate_forget
+        d_forget *= np.subtract(1.0, gate_forget, out=factor)
+    np.multiply(dc_total, gate_in, out=d_cand)
+    np.multiply(candidate, candidate, out=factor)
+    d_cand *= np.subtract(1.0, factor, out=factor)
+    np.multiply(dh, tanh_c, out=d_out)
+    d_out *= gate_out
+    d_out *= np.subtract(1.0, gate_out, out=factor)
     grad_w_x = d_pre.T @ x
     grad_b = d_pre.sum(axis=0)
     dx = d_pre @ cell.w_x
@@ -269,8 +287,8 @@ def lstm_backward(cell: CellParams, cache, dh: np.ndarray, dc: np.ndarray | None
         return dx, None, None, grad_w_x, None, grad_b
     grad_w_h = d_pre.T @ h_prev
     dh_prev = d_pre @ cell.w_h
-    dc_prev = dc_total * gate_forget
-    return dx, dh_prev, dc_prev, grad_w_x, grad_w_h, grad_b
+    dc_total *= gate_forget
+    return dx, dh_prev, dc_total, grad_w_x, grad_w_h, grad_b
 
 
 @dataclass
@@ -334,6 +352,9 @@ def forward_batch(
     """
     s_ids = np.atleast_1d(np.asarray(s_ids))
     r_ids = np.atleast_1d(np.asarray(r_ids))
+    if len(s_ids) != len(r_ids) or len(s_ids) == 0:
+        raise ValueError("forward_batch needs one relation per subject and a non-empty "
+                         f"batch, got {len(s_ids)} subjects and {len(r_ids)} relations")
     if r_ids.min() < 0 or r_ids.max() >= params.num_relations:
         raise ValueError("relation id out of range")
     if keep_prob is not None and not 0.0 < keep_prob <= 1.0:
@@ -344,10 +365,10 @@ def forward_batch(
     dropout_mask = None
     if keep_prob is not None and keep_prob < 1.0:
         shape = (len(s_ids), params.embed_dim)
+        scale = params.dtype.type(1 / keep_prob)
 
         def dropout_mask():
-            keep = rng.random(shape) < keep_prob
-            return (keep / keep_prob).astype(params.dtype)
+            return np.multiply(rng.random(shape) < keep_prob, scale)
 
     h_s, step1, states1, masks1 = entity_step(params, s_ids, dropout_mask)
     h_r, step2, _, masks2 = _run_stack(

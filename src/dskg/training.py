@@ -166,6 +166,24 @@ def _loss_term(weight, bias, h, true_ids, neg, log_q):
     return losses, (cols, pos, probs)
 
 
+def _add_at(ids, *pairs):
+    """``np.add.at(target, ids, values)`` for each ``(target, values)`` pair.
+
+    Round ``n`` adds every id's ``n``-th occurrence with one fancy-index
+    ``+=``. The ids within a round are distinct, so each target row takes its
+    additions one at a time in batch order, as ``np.add.at`` adds them, and
+    the bits are the same.
+    """
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    occurrence = np.arange(len(ids)) - np.repeat(starts, np.diff(np.r_[starts, len(ids)]))
+    by_round = order[np.argsort(occurrence, kind="stable")]
+    for rows in np.split(by_round, np.cumsum(np.bincount(occurrence))[:-1]):
+        for target, values in pairs:
+            target[ids[rows]] += values[rows]
+
+
 def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
     """Accumulate one term's output-block grads; return its grad w.r.t. ``h``.
 
@@ -183,8 +201,7 @@ def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
         block = np.zeros((len(h), len(cols)), dtype=h.dtype)
         block[np.arange(len(h))[:, None], pos] = dscores[:, 1:]
     dh = dscores[:, :1] * weight[true_ids] + block @ weight[cols]
-    np.add.at(grads_w, true_ids, dscores[:, :1] * h)
-    np.add.at(grads_b, true_ids, dscores[:, 0])
+    _add_at(true_ids, (grads_w, dscores[:, :1] * h), (grads_b, dscores[:, 0]))
     grads_w[cols] += block.T @ h
     grads_b[cols] += block.sum(axis=0)
     return dh
@@ -221,11 +238,11 @@ def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams
         active_cells(params, 1), active_cells(grads, 1), cache.step2, cache.masks2,
         dh_r, [(None, None)] * params.num_layers,
     )
-    np.add.at(grads.relation_embed, cache.r_ids, d_relation)
+    _add_at(cache.r_ids, (grads.relation_embed, d_relation))
     d_entity, _ = _backward_stack(
         active_cells(params, 0), active_cells(grads, 0), cache.step1, cache.masks1, dh_s, carried
     )
-    np.add.at(grads.entity_embed, cache.s_ids, d_entity)
+    _add_at(cache.s_ids, (grads.entity_embed, d_entity))
 
 
 def _negatives(labels, lexicon_size, count, shared, rng):
@@ -243,8 +260,12 @@ def batch_loss_and_grads(
     *,
     negative_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
+    grads: ModelParams | None = None,
 ):
     """Mean loss over a batch and gradients for every tensor.
+
+    ``grads``, a map laid out like ``params``, is zeroed and filled in place
+    and returned; without it a fresh map is returned.
 
     The negatives are drawn from ``negative_rng`` through this module's
     ``log_uniform_sample`` (shared) or ``negatives_for_batch`` (per example),
@@ -284,7 +305,11 @@ def batch_loss_and_grads(
     total += losses
     mean_loss = float(total.mean())
 
-    grads = params.zeros_like()
+    if grads is None:
+        grads = params.zeros_like()
+    else:
+        for tensor in grads.tensors.values():
+            tensor.fill(0)
     dh_r = _backward_term(grads.entity_out_w, grads.entity_out_b, params.entity_out_w,
                           h_r, objects, ent_term, batch_size)
     if config.relation_loss:
@@ -409,6 +434,7 @@ def train(
         dtype=config.numpy_dtype(),
     )
     adam = adam_init(params)
+    grads = params.zeros_like()  # one map, refilled by every step
 
     if val_metric_fn is None and len(dataset.valid):
         def val_metric_fn(p):
@@ -435,9 +461,9 @@ def train(
             for batch in batch_iterator(
                 dataset.train, config.batch_size, seed=[config.seed, 1, epoch]
             ):
-                loss, grads = batch_loss_and_grads(
+                loss, _ = batch_loss_and_grads(
                     params, batch, config,
-                    negative_rng=negative_rng, dropout_rng=dropout_rng,
+                    negative_rng=negative_rng, dropout_rng=dropout_rng, grads=grads,
                 )
                 adam_step(params, grads, adam, config.learning_rate)
                 loss_sum += loss * len(batch)

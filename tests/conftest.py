@@ -39,6 +39,59 @@ def scalar_lstm_oracle(cell, x, h_prev, c_prev):
     return np.array(h_new), np.array(c_new)
 
 
+def reference_lstm_forward(cell, x, h_prev, c_prev):
+    """The LSTM step written as whole-array expressions, one temporary per
+    operation: the bit-level reference for ``model.lstm_forward``."""
+    hidden = cell.hidden_size
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    pre = x @ cell.w_x.T
+    if h_prev is not None:
+        pre += h_prev @ cell.w_h.T
+    pre += cell.b
+    gate_in = sigmoid(pre[:, :hidden])
+    candidate = np.tanh(pre[:, 2 * hidden : 3 * hidden])
+    gate_out = sigmoid(pre[:, 3 * hidden :])
+    if c_prev is None:
+        gate_forget = None
+        c = gate_in * candidate
+    else:
+        gate_forget = sigmoid(pre[:, hidden : 2 * hidden])
+        c = gate_forget * c_prev + gate_in * candidate
+    tanh_c = np.tanh(c)
+    h = gate_out * tanh_c
+    cache = (x, h_prev, c_prev, gate_in, gate_forget, candidate, gate_out, tanh_c)
+    return h, c, cache
+
+
+def reference_lstm_backward(cell, cache, dh, dc):
+    """The bit-level reference for ``model.lstm_backward``: four gate
+    gradients as whole-array expressions, joined by ``np.concatenate``."""
+    x, h_prev, c_prev, gate_in, gate_forget, candidate, gate_out, tanh_c = cache
+    dc_total = dh * gate_out * (1.0 - tanh_c * tanh_c)
+    if dc is not None:
+        dc_total += dc
+    d_pre_in = (dc_total * candidate) * gate_in * (1.0 - gate_in)
+    if c_prev is None:
+        d_pre_forget = np.zeros_like(dc_total)
+    else:
+        d_pre_forget = (dc_total * c_prev) * gate_forget * (1.0 - gate_forget)
+    d_pre_cand = (dc_total * gate_in) * (1.0 - candidate * candidate)
+    d_pre_out = (dh * tanh_c) * gate_out * (1.0 - gate_out)
+    d_pre = np.concatenate([d_pre_in, d_pre_forget, d_pre_cand, d_pre_out], axis=1)
+    grad_w_x = d_pre.T @ x
+    grad_b = d_pre.sum(axis=0)
+    dx = d_pre @ cell.w_x
+    if h_prev is None:
+        return dx, None, None, grad_w_x, None, grad_b
+    grad_w_h = d_pre.T @ h_prev
+    dh_prev = d_pre @ cell.w_h
+    dc_prev = dc_total * gate_forget
+    return dx, dh_prev, dc_prev, grad_w_x, grad_w_h, grad_b
+
+
 def make_params(num_entities=6, num_relations=4, embed_dim=4, num_layers=1,
                 arch="dskg", seed=0, dtype=np.float64, jitter=0.3):
     """Initialized params plus a seeded perturbation so no tensor is special."""

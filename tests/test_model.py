@@ -3,7 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import equalized_pair, make_params, scalar_lstm_oracle
+from conftest import (
+    equalized_pair,
+    make_params,
+    reference_lstm_backward,
+    reference_lstm_forward,
+    scalar_lstm_oracle,
+)
 from dskg import model
 from dskg.model import (
     CellParams,
@@ -138,6 +144,59 @@ def random_cell(rng, k, dtype):
     )
 
 
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+class TestInPlaceStep:
+    """The step's in-place gates and ``out=`` gate gradients give the bits of
+    the whole-array reference expressions in ``conftest``."""
+
+    @pytest.mark.parametrize("rows, k", [(1, 3), (37, 16)])
+    @pytest.mark.parametrize("with_dc", [False, True])
+    @pytest.mark.parametrize("carried", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_match_reference_bits(self, rows, k, with_dc, carried, dtype):
+        rng = np.random.default_rng(rows + 100 * carried)
+        cell = random_cell(rng, k, dtype)
+        x, h_prev, c_prev, dh, dc = (
+            (3 * rng.normal(size=(rows, k))).astype(dtype) for _ in range(5)
+        )
+        state = (h_prev, c_prev) if carried else (None, None)
+        h, c, cache = lstm_forward(cell, x, *state)
+        want_h, want_c, want_cache = reference_lstm_forward(cell, x, *state)
+        assert_same_bits((h, c, *cache), (want_h, want_c, *want_cache))
+        dc = dc if with_dc else None
+        assert_same_bits(lstm_backward(cell, cache, dh, dc),
+                         reference_lstm_backward(cell, want_cache, dh, dc))
+
+
+def reference_forward(params, s_ids, r_ids, keep_prob=None, rng=None):
+    """(h_s, h_r) from the reference step, with each dropout mask built by a
+    float64 division."""
+    def masked(h):
+        if keep_prob is None:
+            return h
+        keep = rng.random(h.shape) < keep_prob
+        return h * (keep / keep_prob).astype(params.dtype)
+
+    layer_in, states = params.entity_embed[s_ids], []
+    for cell in active_cells(params, 0):
+        h, c, _ = reference_lstm_forward(cell, layer_in, None, None)
+        states.append((h, c))
+        layer_in = masked(h)
+    h_s, layer_in = layer_in, params.relation_embed[r_ids]
+    for cell, state in zip(active_cells(params, 1), states):
+        layer_in = masked(reference_lstm_forward(cell, layer_in, *state)[0])
+    return h_s, layer_in
+
+
 class TestZeroState:
     """``None`` for a state or for ``dc`` gives the bits of explicit zeros."""
 
@@ -249,6 +308,32 @@ class TestForward:
             forward_batch(params, [99], [0])
         with pytest.raises(ValueError):
             forward_batch(params, [0], [99])
+
+    @pytest.mark.parametrize(
+        "s_ids, r_ids",
+        [([0], [0, 1, 2]), ([0, 1, 2], [1]), ([0, 1], [2, 3, 1]), ([], []), ([0], [])],
+    )
+    def test_batch_lengths_checked(self, s_ids, r_ids):
+        # One subject used to broadcast silently over the relations; an empty
+        # batch failed inside a NumPy reduction.
+        with pytest.raises(ValueError, match=f"got {len(s_ids)} subjects and {len(r_ids)} relations"):
+            forward_batch(make_params(), s_ids, r_ids)
+
+    @pytest.mark.parametrize(
+        "s_ids, r_ids",
+        [([0, 1, 2, 3, 4, 5, 0, 2], [0, 1, 1, 3, 0, 2, 1, 1]), ([4, 0, 3, 1], [2] * 4), ([5], [1])],
+    )
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("arch", ["dskg", "shared"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_bits(self, s_ids, r_ids, dropout, arch, dtype):
+        params = make_params(num_layers=2, arch=arch, dtype=dtype)
+        keep_prob = 0.5 if dropout else None
+        got = forward_batch(params, s_ids, r_ids, keep_prob=keep_prob,
+                            rng=np.random.default_rng(4))[:2]
+        want = reference_forward(params, np.array(s_ids), np.array(r_ids), keep_prob,
+                                 np.random.default_rng(4))
+        assert_same_bits(got, want)
 
 
 class TestLogits:

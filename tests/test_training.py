@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dskg.sampling import log_uniform_sample
 from dskg.training import (
     ADAM_BLOCK,
     TrainConfig,
+    _add_at,
     adam_init,
     adam_step,
     batch_loss_and_grads,
@@ -318,6 +320,38 @@ class TestBackward:
             batch_loss_and_grads(params, np.empty((0, 3), dtype=int), small_config())
 
 
+class TestAddAt:
+    """``_add_at`` adds in ``np.add.at``'s order, so it gives the same bits."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.full(64, 3),  # one id repeated B times
+            np.r_[np.full(40, 7), np.arange(24)],
+            np.random.default_rng(0).zipf(1.5, 200) % 30,  # skewed
+            np.random.default_rng(1).permutation(30),  # all distinct
+            np.array([5]),
+        ],
+        ids=["one-id", "one-heavy", "zipf", "distinct", "single"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_np_add_at_bits(self, ids, dtype):
+        rng = np.random.default_rng(len(ids))
+        # Magnitudes over many decades, so a different order of additions
+        # would round differently.
+        rows = (rng.normal(size=(len(ids), 5)) * 10.0 ** rng.uniform(-6, 6, (len(ids), 1)))
+        rows = rows.astype(dtype)
+        biases = rows[:, 0].copy()
+        start_w = rng.normal(size=(31, 5)).astype(dtype)
+        start_b = rng.normal(size=31).astype(dtype)
+        got_w, got_b, want_w, want_b = start_w.copy(), start_b.copy(), start_w.copy(), start_b.copy()
+        _add_at(ids, (got_w, rows), (got_b, biases))
+        np.add.at(want_w, ids, rows)
+        np.add.at(want_b, ids, biases)
+        assert np.array_equal(got_w, want_w)
+        assert np.array_equal(got_b, want_b)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = init_params(4, 3, 3, 1, seed=0, dtype=np.float64)
@@ -463,6 +497,78 @@ class TestTrainLoop:
         # Every evaluation improves, so ``params`` are the last epoch's weights.
         for (_, a), (_, b) in zip(named_tensors(first.params), named_tensors(second.params)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("relation_loss", [True, False])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("arch", ["dskg", "shared-2"])
+    def test_kept_gradient_map_equals_a_fresh_map_per_step(
+        self, tiny_dataset, monkeypatch, arch, shared, relation_loss
+    ):
+        # train() refills one gradient map; a tensor its zero-fill missed
+        # would carry the previous step's gradient into the next update.
+        config = small_config(
+            arch=arch, shared_negatives=shared, relation_loss=relation_loss, epochs=3,
+            eval_interval=4, keep_prob=0.5, precision="standard", seed=5,
+        )
+        states = []
+
+        def spy(params, grads, state, learning_rate):
+            states.append(state)
+            adam_step(params, grads, state, learning_rate)
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        result = train(tiny_dataset, config)
+
+        model_arch, layers = config.model_arch()
+        params = init_params(tiny_dataset.vocab.num_entities, tiny_dataset.vocab.num_relations,
+                             config.embed_dim, layers, arch=model_arch, seed=config.seed)
+        state = adam_init(params)
+        for epoch in range(1, config.epochs + 1):
+            negative_rng = np.random.default_rng([config.seed, 2, epoch])
+            dropout_rng = np.random.default_rng([config.seed, 3, epoch])
+            for batch in data.batch_iterator(tiny_dataset.train, config.batch_size,
+                                             seed=[config.seed, 1, epoch]):
+                _, grads = batch_loss_and_grads(params, batch, config,
+                                                negative_rng=negative_rng,
+                                                dropout_rng=dropout_rng)
+                adam_step(params, grads, state, config.learning_rate)
+        assert len(states) == state.step == 9  # 3 steps of 4, 4 and 2 rows per epoch
+        kept = states[-1]
+        for name, tensor in named_tensors(params):
+            assert np.array_equal(result.params.tensors[name], tensor), name
+            assert np.array_equal(kept.first[name], state.first[name]), name
+            assert np.array_equal(kept.second[name], state.second[name]), name
+
+    def test_a_step_holds_one_gradient_map(self, monkeypatch):
+        # Many entities and a small batch, so the gradient map dwarfs the
+        # step's caches. Params and both Adam moments are three more maps.
+        num_entities = 20_000
+        raw = [RawTriple(f"e{i}", f"r{i % 4}", f"e{(i + 1) % num_entities}")
+               for i in range(num_entities)]
+        dataset = index_dataset(raw[:32], vocab=data.build_vocabulary(raw))
+        config = TrainConfig(embed_dim=32, batch_size=64, epochs=2, eval_interval=3,
+                             shared_negatives=True)
+        model_arch, layers = config.model_arch()
+        shapes = tensor_shapes(num_entities, dataset.vocab.num_relations, config.embed_dim,
+                               layers, model_arch)
+        map_bytes = 4 * sum(math.prod(shape) for shape in shapes.values())
+        peaks = []
+
+        def traced(*args, **kwargs):
+            tracemalloc.reset_peak()
+            out = batch_loss_and_grads(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", traced)
+        tracemalloc.start()
+        try:
+            train(dataset, config)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 2
+        held = peaks[1] - 3 * map_bytes
+        assert held < 1.5 * map_bytes, (held, map_bytes)
 
     def test_log_file_append(self, tiny_dataset, tmp_path):
         config = small_config(epochs=2, precision="standard")
