@@ -166,24 +166,6 @@ def _loss_term(weight, bias, h, true_ids, neg, log_q):
     return losses, (cols, pos, probs)
 
 
-def _add_at(ids, *pairs):
-    """``np.add.at(target, ids, values)`` for each ``(target, values)`` pair.
-
-    Round ``n`` adds every id's ``n``-th occurrence with one fancy-index
-    ``+=``. The ids within a round are distinct, so each target row takes its
-    additions one at a time in batch order, as ``np.add.at`` adds them, and
-    the bits are the same.
-    """
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-    occurrence = np.arange(len(ids)) - np.repeat(starts, np.diff(np.r_[starts, len(ids)]))
-    by_round = order[np.argsort(occurrence, kind="stable")]
-    for rows in np.split(by_round, np.cumsum(np.bincount(occurrence))[:-1]):
-        for target, values in pairs:
-            target[ids[rows]] += values[rows]
-
-
 def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
     """Accumulate one term's output-block grads; return its grad w.r.t. ``h``.
 
@@ -201,7 +183,8 @@ def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
         block = np.zeros((len(h), len(cols)), dtype=h.dtype)
         block[np.arange(len(h))[:, None], pos] = dscores[:, 1:]
     dh = dscores[:, :1] * weight[true_ids] + block @ weight[cols]
-    _add_at(true_ids, (grads_w, dscores[:, :1] * h), (grads_b, dscores[:, 0]))
+    np.add.at(grads_w, true_ids, dscores[:, :1] * h)
+    np.add.at(grads_b, true_ids, dscores[:, 0])
     grads_w[cols] += block.T @ h
     grads_b[cols] += block.sum(axis=0)
     return dh
@@ -238,11 +221,11 @@ def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams
         active_cells(params, 1), active_cells(grads, 1), cache.step2, cache.masks2,
         dh_r, [(None, None)] * params.num_layers,
     )
-    _add_at(cache.r_ids, (grads.relation_embed, d_relation))
+    np.add.at(grads.relation_embed, cache.r_ids, d_relation)
     d_entity, _ = _backward_stack(
         active_cells(params, 0), active_cells(grads, 0), cache.step1, cache.masks1, dh_s, carried
     )
-    _add_at(cache.s_ids, (grads.entity_embed, d_entity))
+    np.add.at(grads.entity_embed, cache.s_ids, d_entity)
 
 
 def _negatives(labels, lexicon_size, count, shared, rng):
@@ -434,7 +417,11 @@ def train(
         dtype=config.numpy_dtype(),
     )
     adam = adam_init(params)
-    grads = params.zeros_like()  # one map, refilled by every step
+    # Every step refills the gradient map the first step built. Built there,
+    # above that step's caches, it keeps later steps' temporaries below a live
+    # block, so malloc does not hand them back to the kernel after each step
+    # only to fault them in again.
+    grads = None
 
     if val_metric_fn is None and len(dataset.valid):
         def val_metric_fn(p):
@@ -461,7 +448,7 @@ def train(
             for batch in batch_iterator(
                 dataset.train, config.batch_size, seed=[config.seed, 1, epoch]
             ):
-                loss, _ = batch_loss_and_grads(
+                loss, grads = batch_loss_and_grads(
                     params, batch, config,
                     negative_rng=negative_rng, dropout_rng=dropout_rng, grads=grads,
                 )

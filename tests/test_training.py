@@ -15,7 +15,6 @@ from dskg.sampling import log_uniform_sample
 from dskg.training import (
     ADAM_BLOCK,
     TrainConfig,
-    _add_at,
     adam_init,
     adam_step,
     batch_loss_and_grads,
@@ -318,38 +317,6 @@ class TestBackward:
         params = make_params()
         with pytest.raises(ValueError, match="non-empty batch"):
             batch_loss_and_grads(params, np.empty((0, 3), dtype=int), small_config())
-
-
-class TestAddAt:
-    """``_add_at`` adds in ``np.add.at``'s order, so it gives the same bits."""
-
-    @pytest.mark.parametrize(
-        "ids",
-        [
-            np.full(64, 3),  # one id repeated B times
-            np.r_[np.full(40, 7), np.arange(24)],
-            np.random.default_rng(0).zipf(1.5, 200) % 30,  # skewed
-            np.random.default_rng(1).permutation(30),  # all distinct
-            np.array([5]),
-        ],
-        ids=["one-id", "one-heavy", "zipf", "distinct", "single"],
-    )
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_np_add_at_bits(self, ids, dtype):
-        rng = np.random.default_rng(len(ids))
-        # Magnitudes over many decades, so a different order of additions
-        # would round differently.
-        rows = (rng.normal(size=(len(ids), 5)) * 10.0 ** rng.uniform(-6, 6, (len(ids), 1)))
-        rows = rows.astype(dtype)
-        biases = rows[:, 0].copy()
-        start_w = rng.normal(size=(31, 5)).astype(dtype)
-        start_b = rng.normal(size=31).astype(dtype)
-        got_w, got_b, want_w, want_b = start_w.copy(), start_b.copy(), start_w.copy(), start_b.copy()
-        _add_at(ids, (got_w, rows), (got_b, biases))
-        np.add.at(want_w, ids, rows)
-        np.add.at(want_b, ids, biases)
-        assert np.array_equal(got_w, want_w)
-        assert np.array_equal(got_b, want_b)
 
 
 class TestAdam:
