@@ -144,15 +144,15 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(options, out_dir, {"data": str(args.data), "out": str(out_dir)})
 
-    result = training.train(
+    state = training.train(
         dataset,
         train_config,
         log_path=out_dir / "train.log",
         checkpoint_path=out_dir / "checkpoint.dskg",
         progress=print if args.verbose else None,
     )
-    best = "-" if result.best_val_mrr is None else f"{result.best_val_mrr:.4f}"
-    print(f"epochs={result.epochs_run}\nbest_val_mrr={best}\ncheckpoint={out_dir / 'checkpoint.dskg'}")
+    best = "-" if state.best is None else f"{state.best_val_mrr:.4f}"
+    print(f"epochs={state.epoch}\nbest_val_mrr={best}\ncheckpoint={out_dir / 'checkpoint.dskg'}")
     return 0
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from .data import atomic_write
+
 ENV_PREFIX = "DSKG_"
 
 
@@ -84,6 +86,6 @@ def resolve_options(
 def write_resolved(options: dict, path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as buf:
         for key in sorted(options):
-            handle.write(f"{key}={options[key]}\n")
+            buf.write(f"{key}={options[key]}\n".encode())

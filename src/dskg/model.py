@@ -131,7 +131,14 @@ def tensor_shapes(
     num_entities: int, num_relations: int, embed_dim: int, num_layers: int, arch: str
 ) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor an architecture stores, in checkpoint order.
-    A stack stores ``w_h`` only if it runs at step 2: step 1 starts from zero."""
+    A stack stores ``w_h`` only if it runs at step 2: step 1 starts from zero.
+    A size no model has is a ``ValueError`` naming it."""
+    for name, value in (("num_entities", num_entities), ("num_relations", num_relations),
+                        ("embed_dim", embed_dim)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not 1 <= num_layers <= MAX_LAYERS:
+        raise ValueError(f"num_layers must be in 1..{MAX_LAYERS}, got {num_layers}")
     k = embed_dim
     shapes = {"entity_embed": (num_entities, k), "relation_embed": (num_relations, k)}
     for stack in dict.fromkeys(_STEP_STACKS[arch]):
@@ -164,14 +171,9 @@ def init_params(
     dtype=np.float32,
 ) -> ModelParams:
     """Seed-deterministic Glorot initialization of every tensor."""
-    if embed_dim < 1:
-        raise ValueError("embed_dim must be >= 1")
-    if not 1 <= num_layers <= MAX_LAYERS:
-        raise ValueError(f"num_layers must be in 1..{MAX_LAYERS}")
-    if num_entities < 1 or num_relations < 1:
-        raise ValueError("vocabulary sizes must be >= 1")
     if arch not in _ARCH_CODES:
         raise ValueError(f"unknown architecture {arch!r}")
+    shapes = tensor_shapes(num_entities, num_relations, embed_dim, num_layers, arch)
 
     rng = np.random.default_rng(seed)
     k = embed_dim
@@ -194,7 +196,6 @@ def init_params(
     drawn["relation_out_w"] = _glorot(rng, num_relations, k, dtype)
     drawn["entity_out_b"] = np.zeros(num_entities, dtype=dtype)
     drawn["relation_out_b"] = np.zeros(num_relations, dtype=dtype)
-    shapes = tensor_shapes(num_entities, num_relations, embed_dim, num_layers, arch)
     return ModelParams({name: drawn[name] for name in shapes}, arch, num_layers)
 
 
@@ -439,10 +440,12 @@ def load_checkpoint(path) -> ModelParams:
         if arch_code not in _ARCH_NAMES:
             raise ValueError(f"{path}: unknown architecture code {arch_code}")
         arch = _ARCH_NAMES[arch_code]
+        try:
+            shapes = tensor_shapes(num_entities, num_relations, embed_dim, num_layers, arch)
+        except ValueError as exc:
+            raise ValueError(f"{path}: checkpoint header {exc}") from None
         tensors = {}
-        for name, shape in tensor_shapes(
-            num_entities, num_relations, embed_dim, num_layers, arch
-        ).items():
+        for name, shape in shapes.items():
             size = 4 * int(np.prod(shape))
             raw = buf.read(size)
             if len(raw) != size:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RawTriple
+from .data import RawTriple, atomic_write
 
 INVERSE_FAMILIES = (
     ("linked_to", "linked_from"),
@@ -132,6 +132,6 @@ def write_toy_kg(kg: ToyKG, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, triples in (("train", kg.train), ("valid", kg.valid), ("test", kg.test)):
-        with open(directory / f"{name}.txt", "w", encoding="utf-8") as handle:
+        with atomic_write(directory / f"{name}.txt") as buf:
             for t in triples:
-                handle.write(f"{t.subject}\t{t.relation}\t{t.object}\n")
+                buf.write(f"{t.subject}\t{t.relation}\t{t.object}\n".encode())

@@ -318,22 +318,36 @@ ADAM_BLOCK = 1 << 16  # elements per block: a few hundred KB per operand
 
 
 @dataclass
-class AdamState:
-    step: int
-    first: dict
-    second: dict
+class TrainState:
+    """Everything one training run advances, step by step and epoch by epoch.
+
+    ``first`` and ``second`` are Adam's moments, laid out like ``params``.
+    ``grads`` is the map the first step built. Refilled by every later step,
+    it sits above that step's caches and keeps later steps' temporaries below
+    a live block, so malloc does not hand them back to the kernel only to
+    fault them in again. ``best`` copies ``params`` only when an evaluation
+    beats ``best_val_mrr``, which starts at ``-inf``: a NaN MRR never beats it.
+    """
+
+    params: ModelParams
+    first: ModelParams
+    second: ModelParams
+    step: int = 0
+    grads: ModelParams | None = None
+    best: ModelParams | None = None
+    best_val_mrr: float = -np.inf
+    bad_evals: int = 0
+    epoch: int = 0
+    log: list[str] = field(default_factory=list)
+
+    @property
+    def best_params(self) -> ModelParams:
+        """The best-validation weights, or the last ones if no evaluation improved."""
+        return self.params if self.best is None else self.best
 
 
-def adam_init(params: ModelParams) -> AdamState:
-    return AdamState(
-        step=0,
-        first={name: np.zeros_like(t) for name, t in named_tensors(params)},
-        second={name: np.zeros_like(t) for name, t in named_tensors(params)},
-    )
-
-
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, learning_rate: float):
-    """Standard bias-corrected Adam update, in place.
+def adam_step(state: TrainState, learning_rate: float):
+    """Bias-corrected Adam update of ``state.params`` by ``state.grads``, in place.
 
     Each tensor is walked in blocks of ``ADAM_BLOCK`` elements through two
     block-sized scratch buffers, so the operands stay in cache and no
@@ -350,12 +364,11 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, learnin
     beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     correct1 = 1.0 - beta1 ** state.step
     correct2 = 1.0 - beta2 ** state.step
-    buf_a, buf_b = np.empty(ADAM_BLOCK, params.dtype), np.empty(ADAM_BLOCK, params.dtype)
-    for (name, tensor), (_, grad) in zip(named_tensors(params), named_tensors(grads)):
-        flat_p = tensor.reshape(-1, copy=False)
-        flat_g = grad.reshape(-1, copy=False)
-        flat_m = state.first[name].reshape(-1, copy=False)
-        flat_v = state.second[name].reshape(-1, copy=False)
+    dtype = state.params.dtype
+    buf_a, buf_b = np.empty(ADAM_BLOCK, dtype), np.empty(ADAM_BLOCK, dtype)
+    maps = (state.params, state.grads, state.first, state.second)
+    for tensors in zip(*(m.tensors.values() for m in maps)):
+        flat_p, flat_g, flat_m, flat_v = (t.reshape(-1, copy=False) for t in tensors)
         for lo in range(0, flat_p.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, flat_p.size)
             g, m, v = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
@@ -376,14 +389,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, learnin
             flat_p[lo:hi] -= a
 
 
-@dataclass
-class TrainResult:
-    params: ModelParams
-    log: list[str] = field(default_factory=list)
-    best_val_mrr: float | None = None
-    epochs_run: int = 0
-
-
 def train(
     dataset: IndexedDataset,
     config: TrainConfig,
@@ -392,7 +397,7 @@ def train(
     checkpoint_path=None,
     val_metric_fn: Callable[[ModelParams], tuple[float, float]] | None = None,
     progress: Callable[[str], None] | None = None,
-) -> TrainResult:
+) -> TrainState:
     """Epoch loop with periodic validation and MRR-based early stopping.
 
     Every ``eval_interval`` epochs the filtered validation MRR is computed
@@ -401,7 +406,9 @@ def train(
     consecutive non-improving evaluations or at the epoch cap. Log lines are
     ``epoch, mean_loss, val_MRR, val_Hits@10, elapsed_seconds``,
     tab-separated, with ``-`` for epochs without evaluation; ``log_path`` is
-    started afresh, replacing the log of any earlier run.
+    started afresh, replacing the log of any earlier run. The checkpoint
+    holds ``best_params`` of the returned state; it is also written at each
+    improvement, so a run that fails later keeps its best weights so far.
     """
     from .evaluation import EnhanceConfig, evaluate_entity_prediction
 
@@ -416,12 +423,7 @@ def train(
         seed=config.seed,
         dtype=config.numpy_dtype(),
     )
-    adam = adam_init(params)
-    # Every step refills the gradient map the first step built. Built there,
-    # above that step's caches, it keeps later steps' temporaries below a live
-    # block, so malloc does not hand them back to the kernel after each step
-    # only to fault them in again.
-    grads = None
+    state = TrainState(params, params.zeros_like(), params.zeros_like())
 
     if val_metric_fn is None and len(dataset.valid):
         def val_metric_fn(p):
@@ -430,13 +432,10 @@ def train(
             )
             return report.mrr, report.hits10
 
-    result = TrainResult(params=params)
-    best_mrr = -np.inf
-    bad_evals = 0
     started = time.perf_counter()
     log_handle = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
-        for epoch in range(1, config.epochs + 1):
+        for epoch in range(state.epoch + 1, config.epochs + 1):
             negative_rng = np.random.default_rng([config.seed, 2, epoch])
             dropout_rng = (
                 np.random.default_rng([config.seed, 3, epoch])
@@ -444,31 +443,28 @@ def train(
                 else None
             )
             loss_sum = 0.0
-            seen = 0
             for batch in batch_iterator(
                 dataset.train, config.batch_size, seed=[config.seed, 1, epoch]
             ):
-                loss, grads = batch_loss_and_grads(
-                    params, batch, config,
-                    negative_rng=negative_rng, dropout_rng=dropout_rng, grads=grads,
+                loss, state.grads = batch_loss_and_grads(
+                    state.params, batch, config,
+                    negative_rng=negative_rng, dropout_rng=dropout_rng, grads=state.grads,
                 )
-                adam_step(params, grads, adam, config.learning_rate)
+                adam_step(state, config.learning_rate)
                 loss_sum += loss * len(batch)
-                seen += len(batch)
-            mean_loss = loss_sum / max(seen, 1)
+            mean_loss = loss_sum / max(len(dataset.train), 1)
 
             val_mrr = val_hits = None
             if val_metric_fn is not None and epoch % config.eval_interval == 0:
-                val_mrr, val_hits = val_metric_fn(params)
-                if val_mrr > best_mrr:
-                    best_mrr = val_mrr
-                    result.params = params.copy()
-                    result.best_val_mrr = val_mrr
-                    bad_evals = 0
+                val_mrr, val_hits = val_metric_fn(state.params)
+                if val_mrr > state.best_val_mrr:
+                    state.best = state.params.copy()
+                    state.best_val_mrr = val_mrr
+                    state.bad_evals = 0
                     if checkpoint_path:
-                        save_checkpoint(result.params, checkpoint_path)
+                        save_checkpoint(state.best, checkpoint_path)
                 else:
-                    bad_evals += 1
+                    state.bad_evals += 1
 
             elapsed = time.perf_counter() - started
             line = "\t".join(
@@ -480,20 +476,19 @@ def train(
                     f"{elapsed:.3f}",
                 ]
             )
-            result.log.append(line)
-            result.epochs_run = epoch
+            state.log.append(line)
+            state.epoch = epoch
             if log_handle:
                 log_handle.write(line + "\n")
                 log_handle.flush()
             if progress:
                 progress(line)
-            if bad_evals >= config.patience:
+            if state.bad_evals >= config.patience:
                 break
     finally:
         if log_handle:
             log_handle.close()
 
-    # No evaluation improved, so ``result.params`` is still ``params``, the last weights.
-    if result.best_val_mrr is None and checkpoint_path:
-        save_checkpoint(params, checkpoint_path)
-    return result
+    if checkpoint_path:
+        save_checkpoint(state.best_params, checkpoint_path)
+    return state

@@ -209,15 +209,15 @@ def test_criterion_6_synthetic_end_to_end():
         epochs=400, eval_interval=10, patience=10, seed=0, shared_negatives=True,
     )
     result = train(ds, config)
-    plain = evaluate_entity_prediction(result.params, ds, EnhanceConfig(enabled=False))
-    enhanced = evaluate_entity_prediction(result.params, ds, EnhanceConfig())
+    plain = evaluate_entity_prediction(result.best_params, ds, EnhanceConfig(enabled=False))
+    enhanced = evaluate_entity_prediction(result.best_params, ds, EnhanceConfig())
     elapsed = time.time() - started
     ok = plain.mrr / 100 >= 0.90 and enhanced.mrr / 100 >= 0.90
     assert report(
         6, ok,
         f"held-out MRR plain {plain.mrr / 100:.3f} / enhanced {enhanced.mrr / 100:.3f} "
         f"(>= 0.90), untrained {base_plain.mrr / 100:.3f} (<= 0.05), "
-        f"{result.epochs_run} epochs in {elapsed:.0f}s",
+        f"{result.epoch} epochs in {elapsed:.0f}s",
     )
 
 
@@ -274,7 +274,7 @@ def test_criterion_8_reduced_scale_benchmark():
         epochs=200, eval_interval=1, patience=3, seed=0, shared_negatives=True,
     )
     result = train(ds, config)
-    enhanced = evaluate_entity_prediction(result.params, ds, EnhanceConfig())
+    enhanced = evaluate_entity_prediction(result.best_params, ds, EnhanceConfig())
     ok = abs(enhanced.hits1 - 23.1) <= 3.0 and abs(enhanced.hits10 - 48.6) <= 3.0
     assert report(
         8, ok,

@@ -423,9 +423,9 @@ class TestPrecisionCurve:
             keep_prob=1.0, epochs=60, eval_interval=10, patience=10, seed=0,
             shared_negatives=True,
         )
-        result = train(ds, config)
+        params = train(ds, config).best_params
         beam_config = BeamConfig(stage1_window=300, stage2_window=6000)
-        out = stage2_triples(result.params, stage1_pairs(result.params, beam_config), beam_config)
+        out = stage2_triples(params, stage1_pairs(params, beam_config), beam_config)
         curve = precision_curve(out, ds)
         defined = [p.precision for p in curve if p.precision is not None]
         assert curve[-1].precision is not None

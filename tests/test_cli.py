@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dskg import beam, cli, data, evaluation, model, training
+from dskg import beam, cli, data, evaluation, model, toygen, training
 from dskg.config import parse_config_file, resolve_options, write_resolved
 
 
@@ -297,6 +297,28 @@ class TestEval:
         assert str(bad) in lines[0]
 
 
+    def test_checkpoint_header_no_model_has_is_one_line_value_error(
+        self, trained, tmp_path, capsys
+    ):
+        dataset, checkpoint = trained
+        blob = bytearray(checkpoint.read_bytes())
+        start = len(model.CHECKPOINT_MAGIC)
+        header = list(model._HEADER.unpack_from(blob, start))
+        header[4] = 0  # num_layers
+        model._HEADER.pack_into(blob, start, *header)
+        bad = tmp_path / "no_layers.dskg"
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "r"
+        code, _, err = run_cli(
+            capsys, "eval", "--checkpoint", str(bad), "--data", str(dataset), "--out", str(out),
+        )
+        assert code == 1
+        assert err.strip().split("\n") == [
+            f"error\tValueError\t{bad}: checkpoint header num_layers must be in "
+            f"1..{model.MAX_LAYERS}, got 0"
+        ]
+        assert not list(out.glob("*.report"))
+
     def test_empty_split_is_one_line_value_error(self, tmp_path, capsys):
         splits = write_tiny_splits(tmp_path)
         (splits / "valid.txt").write_text("", encoding="utf-8")
@@ -520,6 +542,27 @@ class TestConfigHelpers:
         path = tmp_path / "config.resolved"
         write_resolved({"b": 2, "a": 1}, path)
         assert path.read_text() == "a=1\nb=2\n"
+
+    @pytest.mark.parametrize("writer", ["config.resolved", "gen-toy splits"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, writer):
+        class Unwritable:
+            def __str__(self):
+                raise OSError("disk full")
+
+        if writer == "config.resolved":
+            write_resolved({"a": 1, "b": 2}, tmp_path / "config.resolved")
+            write = lambda: write_resolved({"a": 3, "b": Unwritable()}, tmp_path / "config.resolved")
+        else:
+            toygen.write_toy_kg(toygen.generate_toy_kg(toygen.ToyConfig()), tmp_path)
+            kg = toygen.generate_toy_kg(toygen.ToyConfig(num_entities=20, num_chains=10,
+                                                         num_extra_pairs=5))
+            # The last train line fails, after the others are written.
+            kg.train.append(data.RawTriple(Unwritable(), "r", "o"))
+            write = lambda: toygen.write_toy_kg(kg, tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
     def test_option_tables_follow_the_config_dataclasses(self):

@@ -80,16 +80,16 @@ class TestInit:
                 assert np.all(cell.b[2 * k :] == 0.0)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "field, kwargs",
         [
-            dict(num_entities=0, num_relations=2, embed_dim=4, num_layers=1),
-            dict(num_entities=3, num_relations=2, embed_dim=0, num_layers=1),
-            dict(num_entities=3, num_relations=2, embed_dim=4, num_layers=0),
-            dict(num_entities=3, num_relations=2, embed_dim=4, num_layers=5),
+            ("num_entities", dict(num_entities=0, num_relations=2, embed_dim=4, num_layers=1)),
+            ("embed_dim", dict(num_entities=3, num_relations=2, embed_dim=0, num_layers=1)),
+            ("num_layers", dict(num_entities=3, num_relations=2, embed_dim=4, num_layers=0)),
+            ("num_layers", dict(num_entities=3, num_relations=2, embed_dim=4, num_layers=5)),
         ],
     )
-    def test_invalid_sizes(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_invalid_sizes(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             init_params(**kwargs)
 
     def test_unknown_arch(self):
@@ -408,6 +408,21 @@ class TestCheckpoint:
         blob[len(model.CHECKPOINT_MAGIC)] = version
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, sizes", [
+        ("num_entities", (0, 4, 6, 1)),
+        ("num_relations", (7, 0, 6, 1)),
+        ("embed_dim", (7, 4, 0, 1)),
+        ("num_layers", (7, 4, 6, 0)),
+        ("num_layers", (7, 4, 6, model.MAX_LAYERS + 1)),
+    ], ids=["no_entities", "no_relations", "no_embedding", "no_layers", "too_many_layers"])
+    def test_header_sizes_no_model_has_name_field_and_file(self, tmp_path, field, sizes):
+        # No tensor follows the header: the sizes are checked before one is read.
+        path = tmp_path / "ck.dskg"
+        header = model._HEADER.pack(model.CHECKPOINT_VERSION, *sizes, 0)
+        path.write_bytes(model.CHECKPOINT_MAGIC + header)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header {field} ")):
             load_checkpoint(path)
 
     def test_short_header_names_file(self, tmp_path):

@@ -10,12 +10,19 @@ from hypothesis import given, strategies as st
 from conftest import equalized_pair, make_params, scalar_lstm_oracle
 from dskg import data, training
 from dskg.data import RawTriple, index_dataset
-from dskg.model import ModelParams, active_cells, init_params, named_tensors, tensor_shapes
+from dskg.model import (
+    ModelParams,
+    active_cells,
+    init_params,
+    load_checkpoint,
+    named_tensors,
+    tensor_shapes,
+)
 from dskg.sampling import log_uniform_sample
 from dskg.training import (
     ADAM_BLOCK,
     TrainConfig,
-    adam_init,
+    TrainState,
     adam_step,
     batch_loss_and_grads,
     sampled_softmax_loss,
@@ -30,6 +37,11 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
+
+
+def fresh_state(params, **fields):
+    """The state ``train()`` starts from: Adam moments at zero, no step taken."""
+    return TrainState(params, params.zeros_like(), params.zeros_like(), **fields)
 
 
 class TestSampledSoftmaxLoss:
@@ -257,7 +269,6 @@ class TestBackward:
             shapes = tensor_shapes(6, 4, 4, 2, arch)
             assert [(n, t.shape) for n, t in named_tensors(grads)] == list(shapes.items())
             assert all(np.all(np.isfinite(t)) for _, t in named_tensors(grads))
-            assert list(adam_init(params).first) == list(shapes)
 
     def test_shared_stack_accumulates_both_timesteps(self, fix_negatives):
         batch = np.array([[0, 1, 2], [3, 0, 1]])
@@ -323,8 +334,8 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = init_params(4, 3, 3, 1, seed=0, dtype=np.float64)
         before = {name: t.copy() for name, t in named_tensors(params)}
-        state = adam_init(params)
-        adam_step(params, params.zeros_like(), state, learning_rate=0.1)
+        state = fresh_state(params, grads=params.zeros_like())
+        adam_step(state, learning_rate=0.1)
         for name, tensor in named_tensors(params):
             assert np.array_equal(tensor, before[name])
 
@@ -333,8 +344,7 @@ class TestAdam:
         grads = params.zeros_like()
         grads.entity_out_b[0] = 1.0
         before = params.entity_out_b[0].copy()
-        state = adam_init(params)
-        adam_step(params, grads, state, learning_rate=0.001)
+        adam_step(fresh_state(params, grads=grads), learning_rate=0.001)
         # m_hat = 1, v_hat = 1 after bias correction
         expected = before - 0.001 * 1.0 / (1.0 + 1e-8)
         assert params.entity_out_b[0] == pytest.approx(expected, abs=1e-15)
@@ -344,12 +354,12 @@ class TestAdam:
         grads = params.zeros_like()
         for _, g in named_tensors(grads):
             g[...] = 1.0
-        state = adam_init(params)
+        state = fresh_state(params, grads=grads)
         rate = 0.05
         previous = None
         for _ in range(1000):
             previous = params.entity_embed.copy()
-            adam_step(params, grads, state, learning_rate=rate)
+            adam_step(state, learning_rate=rate)
         delta = params.entity_embed - previous
         assert np.allclose(np.abs(delta), rate, atol=1e-3 * rate + 1e-3)
         assert np.all(delta < 0)
@@ -367,14 +377,14 @@ class TestAdam:
         expected = {name: t.copy() for name, t in named_tensors(params)}
         first = {name: np.zeros_like(t) for name, t in expected.items()}
         second = {name: np.zeros_like(t) for name, t in expected.items()}
-        state = adam_init(params)
+        state = fresh_state(params)
         rate = 0.01
         for step in range(1, 6):
-            grads = ModelParams(
+            grads = state.grads = ModelParams(
                 {name: rng.normal(size=t.shape).astype(dtype) for name, t in named_tensors(params)},
                 "dskg", 1,
             )
-            adam_step(params, grads, state, learning_rate=rate)
+            adam_step(state, learning_rate=rate)
             beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
             correct1 = 1.0 - beta1 ** step
             correct2 = 1.0 - beta2 ** step
@@ -387,8 +397,9 @@ class TestAdam:
         for name, tensor in named_tensors(params):
             assert tensor.dtype == dtype
             assert np.array_equal(tensor, expected[name])
-            assert np.array_equal(state.first[name], first[name])
-            assert np.array_equal(state.second[name], second[name])
+            assert np.array_equal(state.first.tensors[name], first[name])
+            assert np.array_equal(state.second.tensors[name], second[name])
+        assert state.step == 5
 
 
 def memorizable_kg(n_triples=50, n_relations=5):
@@ -410,13 +421,15 @@ class TestTrainLoop:
         config = small_config(epochs=0, seed=9, precision="standard")
         result = train(tiny_dataset, config)
         assert result.log == []
-        assert result.epochs_run == 0
+        assert result.epoch == result.step == 0
+        assert result.best is None
         arch, layers = config.model_arch()
         reference = init_params(
             tiny_dataset.vocab.num_entities, tiny_dataset.vocab.num_relations,
             config.embed_dim, layers, arch=arch, seed=9, dtype=np.float32,
         )
-        for (_, got), (_, want) in zip(named_tensors(result.params), named_tensors(reference)):
+        for (_, got), (_, want) in zip(named_tensors(result.best_params),
+                                       named_tensors(reference)):
             assert np.array_equal(got, want)
 
     def test_memorizable_set_loss_drops_ninety_percent(self):
@@ -441,8 +454,9 @@ class TestTrainLoop:
         result = train(tiny_dataset, config, val_metric_fn=frozen_metric)
         # first evaluation sets the best; exactly three more happen afterwards
         assert len(calls) == 4
-        assert result.epochs_run == 4
+        assert result.epoch == 4
         assert result.best_val_mrr == 50.0
+        assert result.bad_evals == 3
 
     def test_eval_interval_spacing(self, tiny_dataset):
         calls = []
@@ -461,8 +475,9 @@ class TestTrainLoop:
         second = train(tiny_dataset, config, val_metric_fn=rising_metric())
         strip = lambda log: [line.split("\t")[:4] for line in log]
         assert strip(first.log) == strip(second.log)
-        # Every evaluation improves, so ``params`` are the last epoch's weights.
-        for (_, a), (_, b) in zip(named_tensors(first.params), named_tensors(second.params)):
+        # Every evaluation improves, so ``best_params`` are the last epoch's weights.
+        for (_, a), (_, b) in zip(named_tensors(first.best_params),
+                                  named_tensors(second.best_params)):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("relation_loss", [True, False])
@@ -479,9 +494,9 @@ class TestTrainLoop:
         )
         states = []
 
-        def spy(params, grads, state, learning_rate):
+        def spy(state, learning_rate):
             states.append(state)
-            adam_step(params, grads, state, learning_rate)
+            adam_step(state, learning_rate)
 
         monkeypatch.setattr(training, "adam_step", spy)
         result = train(tiny_dataset, config)
@@ -489,22 +504,22 @@ class TestTrainLoop:
         model_arch, layers = config.model_arch()
         params = init_params(tiny_dataset.vocab.num_entities, tiny_dataset.vocab.num_relations,
                              config.embed_dim, layers, arch=model_arch, seed=config.seed)
-        state = adam_init(params)
+        state = fresh_state(params)
         for epoch in range(1, config.epochs + 1):
             negative_rng = np.random.default_rng([config.seed, 2, epoch])
             dropout_rng = np.random.default_rng([config.seed, 3, epoch])
             for batch in data.batch_iterator(tiny_dataset.train, config.batch_size,
                                              seed=[config.seed, 1, epoch]):
-                _, grads = batch_loss_and_grads(params, batch, config,
-                                                negative_rng=negative_rng,
-                                                dropout_rng=dropout_rng)
-                adam_step(params, grads, state, config.learning_rate)
-        assert len(states) == state.step == 9  # 3 steps of 4, 4 and 2 rows per epoch
-        kept = states[-1]
+                _, state.grads = batch_loss_and_grads(params, batch, config,
+                                                      negative_rng=negative_rng,
+                                                      dropout_rng=dropout_rng)
+                adam_step(state, config.learning_rate)
+        assert len(states) == state.step == result.step == 9  # 3 steps of 4, 4 and 2 rows
+        assert all(kept is result for kept in states)
         for name, tensor in named_tensors(params):
             assert np.array_equal(result.params.tensors[name], tensor), name
-            assert np.array_equal(kept.first[name], state.first[name]), name
-            assert np.array_equal(kept.second[name], state.second[name]), name
+            assert np.array_equal(result.first.tensors[name], state.first.tensors[name]), name
+            assert np.array_equal(result.second.tensors[name], state.second.tensors[name]), name
 
     def test_a_step_holds_one_gradient_map(self, monkeypatch):
         # Many entities and a small batch, so the gradient map dwarfs the
@@ -563,6 +578,48 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=message):
             train(tiny_dataset, config, log_path=tmp_path / "train.log")
         assert not (tmp_path / "train.log").exists()
+
+    @pytest.mark.parametrize("arch", ["dskg", "shared-2"])
+    def test_returned_state_accounts(self, tiny_dataset, monkeypatch, arch):
+        steps = []
+
+        def counted(state, learning_rate):
+            steps.append(state.step)
+            adam_step(state, learning_rate)
+
+        monkeypatch.setattr(training, "adam_step", counted)
+        config = small_config(arch=arch, num_layers=2, epochs=10, patience=2,
+                              precision="standard")
+        state = train(tiny_dataset, config, val_metric_fn=lambda params: (50.0, 0.0))
+        # The first evaluation improves, the next two do not: patience ends epoch 3.
+        assert state.epoch == len(state.log) == 3
+        per_epoch = math.ceil(len(tiny_dataset.train) / config.batch_size)
+        assert state.step == len(steps) == 3 * per_epoch
+        assert steps == list(range(3 * per_epoch))
+        assert (state.best_val_mrr, state.bad_evals) == (50.0, 2)
+        layout = [(name, t.shape, t.dtype) for name, t in named_tensors(state.params)]
+        for kept in (state.first, state.second, state.grads, state.best):
+            assert [(name, t.shape, t.dtype) for name, t in named_tensors(kept)] == layout
+
+    def test_nan_validation_mrr_is_never_the_best(self, tiny_dataset, tmp_path):
+        scores = iter([float("nan"), 10.0, 5.0, float("nan")])
+        evaluated = []
+
+        def metric(params):
+            evaluated.append(params.copy())
+            return next(scores), 0.0
+
+        config = small_config(epochs=10, patience=2, precision="standard")
+        checkpoint = tmp_path / "checkpoint.dskg"
+        state = train(tiny_dataset, config, checkpoint_path=checkpoint, val_metric_fn=metric)
+        assert state.best_val_mrr == 10.0
+        # 5.0 and the second NaN are two non-improving evaluations: patience 2 ends epoch 4.
+        assert (state.epoch, state.bad_evals) == (4, 2)
+        saved = load_checkpoint(checkpoint)
+        for name, tensor in named_tensors(saved):
+            assert np.array_equal(tensor, evaluated[1].tensors[name]), name
+            assert np.array_equal(state.best_params.tensors[name], tensor), name
+        assert not np.array_equal(state.params.entity_embed, evaluated[1].entity_embed)
 
     def test_best_checkpoint_tracks_peak(self, tiny_dataset):
         scores = iter([10.0, 30.0, 20.0, 5.0, 1.0])
