@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
 import typing
 from pathlib import Path
@@ -234,8 +235,10 @@ def cmd_audit_inverse(args) -> int:
     dataset = load_any_dataset(args.data)
     rows = data.audit_inverse_pairs(dataset)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            data.write_inverse_audit(rows, dataset.vocab, handle)
+        text = io.StringIO()
+        data.write_inverse_audit(rows, dataset.vocab, text)
+        with data.atomic_write(args.out) as buf:
+            buf.write(text.getvalue().encode())
         print(f"pairs={len(rows)}\nout={args.out}")
     else:
         data.write_inverse_audit(rows, dataset.vocab, sys.stdout)

@@ -93,30 +93,24 @@ def load_triples(path) -> list[RawTriple]:
 class Vocabulary:
     """Entity and relation lexicons, id-ordered by descending frequency.
 
-    ``relation_labels`` covers both forward relations and their reverses;
-    ``reverse_of`` is an involution over relation ids that pairs each
-    forward label ``x`` with ``x^-1``.
+    ``relation_labels`` covers both forward relations and their reverses.
+    The labels fix the pairing: ``reverse_of`` is derived from them, the
+    involution over relation ids that pairs each forward label ``x`` with
+    ``x^-1``.
     """
 
     entity_labels: list[str]
     entity_freqs: np.ndarray
     relation_labels: list[str]
     relation_freqs: np.ndarray
-    reverse_of: np.ndarray
-    num_forward_relations: int
     entity_ids: dict = field(init=False, repr=False)
     relation_ids: dict = field(init=False, repr=False)
     is_reverse: np.ndarray = field(init=False, repr=False)
+    reverse_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.entity_ids = {label: i for i, label in enumerate(self.entity_labels)}
         self.relation_ids = {label: i for i, label in enumerate(self.relation_labels)}
-        self.is_reverse = np.array(
-            [label.endswith(REVERSE_MARKER) for label in self.relation_labels], dtype=bool
-        )
-        self._check()
-
-    def _check(self):
         for kind, labels, ids in (("entity", self.entity_labels, self.entity_ids),
                                   ("relation", self.relation_labels, self.relation_ids)):
             if len(ids) != len(labels):
@@ -125,27 +119,21 @@ class Vocabulary:
                 raise ValueError(f"duplicate {kind} label {repeated!r}")
         if np.any(np.diff(self.entity_freqs) > 0) or np.any(np.diff(self.relation_freqs) > 0):
             raise ValueError("lexicon frequencies must be non-increasing in id order")
-        rev = np.asarray(self.reverse_of)
-        if rev.shape != (self.num_relations,):
-            raise ValueError(f"reverse map has shape {rev.shape}, expected ({self.num_relations},)")
-        out_of_range = rev[(rev < 0) | (rev >= len(rev))]
-        if out_of_range.size:
-            raise ValueError(
-                f"reverse relation id {int(out_of_range[0])} out of range "
-                f"for {len(rev)} relations"
-            )
-        if np.any(rev[rev] != np.arange(len(rev))) or np.any(rev == np.arange(len(rev))):
-            raise ValueError("reverse map must be a fixed-point-free involution")
-        forward = np.flatnonzero(~self.is_reverse)
-        if not len(forward) == self.num_forward_relations == len(rev) - len(forward):
-            raise ValueError(
-                f"{len(forward)} of {len(rev)} relation labels are forward ones, expected "
-                f"{self.num_forward_relations} of {2 * self.num_forward_relations}"
-            )
-        for r in forward:
-            label, partner = self.relation_labels[r], self.relation_labels[rev[r]]
-            if partner != label + REVERSE_MARKER:
-                raise ValueError(f"reverse map pairs relation {label!r} with {partner!r}")
+        self.is_reverse = np.array(
+            [label.endswith(REVERSE_MARKER) for label in self.relation_labels], dtype=bool
+        )
+        reverse_of = []
+        for label, reverse in zip(self.relation_labels, self.is_reverse):
+            partner = label[: -len(REVERSE_MARKER)] if reverse else label + REVERSE_MARKER
+            if partner not in self.relation_ids:
+                raise ValueError(f"relation {label!r} has no partner {partner!r}")
+            reverse_of.append(self.relation_ids[partner])
+        self.reverse_of = np.array(reverse_of, dtype=np.int32)
+        # Only a nested label such as p^-1^-1 breaks the involution.
+        nested = np.flatnonzero(self.reverse_of[self.reverse_of] != np.arange(self.num_relations))
+        if nested.size:
+            raise ValueError(f"reverse map is not an involution at nested label "
+                             f"{self.relation_labels[nested[0]]!r}")
 
     @property
     def num_entities(self) -> int:
@@ -154,6 +142,10 @@ class Vocabulary:
     @property
     def num_relations(self) -> int:
         return len(self.relation_labels)
+
+    @property
+    def num_forward_relations(self) -> int:
+        return self.num_relations // 2
 
 
 def build_vocabulary(train: Sequence[RawTriple]) -> Vocabulary:
@@ -169,29 +161,18 @@ def build_vocabulary(train: Sequence[RawTriple]) -> Vocabulary:
         raise ValueError("cannot build a vocabulary from an empty training set")
     entity_freq = Counter(label for t in train for label in (t.subject, t.object))
     relation_freq = Counter(t.relation for t in train)
-    forward = list(relation_freq)
-    for label in forward:
+    for label in relation_freq:
         if label.endswith(REVERSE_MARKER):
             raise ValueError(f"relation ends with reserved suffix {REVERSE_MARKER!r}: {label!r}")
-    relation_freq.update({label + REVERSE_MARKER: relation_freq[label] for label in forward})
+    relation_freq.update({label + REVERSE_MARKER: n for label, n in relation_freq.items()})
     # most_common sorts stably, so equal counts keep first-appearance order.
     entity_labels, entity_freqs = zip(*entity_freq.most_common())
     relation_labels, relation_freqs = zip(*relation_freq.most_common())
-
-    relation_ids = {label: i for i, label in enumerate(relation_labels)}
-    reverse_of = np.empty(len(relation_labels), dtype=np.int32)
-    for label in forward:
-        fwd, rev = relation_ids[label], relation_ids[label + REVERSE_MARKER]
-        reverse_of[fwd] = rev
-        reverse_of[rev] = fwd
-
     return Vocabulary(
         entity_labels=list(entity_labels),
         entity_freqs=np.array(entity_freqs, dtype=np.int64),
         relation_labels=list(relation_labels),
         relation_freqs=np.array(relation_freqs, dtype=np.int64),
-        reverse_of=reverse_of,
-        num_forward_relations=len(forward),
     )
 
 
@@ -262,26 +243,28 @@ def check_key_range(num_entities: int, num_relations: int):
 class IndexedDataset:
     """Integer-encoded splits plus the ranking/membership indexes.
 
-    ``train`` holds both orientations (originals then reverses); valid and
-    test stay forward-only and are queried in both directions at evaluation
-    time. Instances are immutable after construction and safe to share.
+    ``train`` holds both orientations of ``raw_train`` (originals then
+    reverses), and ``raw_train`` is then its first half; valid and test stay
+    forward-only and are queried in both directions at evaluation time.
+    Instances are immutable after construction and safe to share.
     """
 
     vocab: Vocabulary
-    train: np.ndarray
+    raw_train: np.ndarray
     valid: np.ndarray
     test: np.ndarray
-    num_raw_train: int
+    train: np.ndarray = field(init=False, repr=False)
     correct_keys: np.ndarray = field(init=False, repr=False)
     predict_keys: np.ndarray = field(init=False, repr=False)
     answer_objects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         vocab = self.vocab
-        for split in (self.train, self.valid, self.test):
+        self.train = augment_reverse(self.raw_train, vocab)
+        self.raw_train = self.train[: len(self.train) // 2]
+        for split in (self.valid, self.test):
             _check_bounds(split, vocab)
-        for name, split in (("train", self.train[: self.num_raw_train]),
-                            ("valid", self.valid), ("test", self.test)):
+        for name, split in (("train", self.raw_train), ("valid", self.valid), ("test", self.test)):
             reverse = split[vocab.is_reverse[split[:, 1]], 1]
             if reverse.size:
                 raise ValueError(f"{name} split holds reverse relation "
@@ -326,13 +309,11 @@ def index_dataset(
     vocab: Vocabulary | None = None,
 ) -> IndexedDataset:
     vocab = vocab or build_vocabulary(train)
-    train_ids = index_triples(train, vocab)
     return IndexedDataset(
         vocab=vocab,
-        train=augment_reverse(train_ids, vocab),
+        raw_train=index_triples(train, vocab),
         valid=index_triples(valid, vocab),
         test=index_triples(test, vocab),
-        num_raw_train=len(train_ids),
     )
 
 
@@ -362,10 +343,9 @@ def audit_inverse_pairs(dataset: IndexedDataset) -> list[InverseAuditRow]:
     test triples so exposed. Pairs with zero overlap are omitted.
     """
     vocab = dataset.vocab
-    originals = dataset.train[: dataset.num_raw_train]
     pair_index: dict[int, list[int]] = {}
     num_entities = vocab.num_entities
-    for s, r, o in originals:
+    for s, r, o in dataset.raw_train:
         pair_index.setdefault(int(s) * num_entities + int(o), []).append(int(r))
 
     counts: Counter = Counter()
@@ -396,7 +376,7 @@ def dataset_stats(dataset: IndexedDataset) -> dict:
         "entities": dataset.vocab.num_entities,
         "relations": dataset.vocab.num_forward_relations,
         "relations_with_reverse": dataset.vocab.num_relations,
-        "train": dataset.num_raw_train,
+        "train": len(dataset.raw_train),
         "valid": len(dataset.valid),
         "test": len(dataset.test),
         "train_sequences": len(dataset.train),
@@ -409,16 +389,19 @@ def _write_str(buf, text: str):
     buf.write(raw)
 
 
-def _read_exact(buf, size: int) -> bytes:
-    raw = buf.read(size)
-    if len(raw) != size:
-        raise ValueError(f"{buf.name}: truncated dataset cache")
-    return raw
+def read_exact(buf, size: int, truncated: str = "truncated dataset cache") -> bytes:
+    """Read ``size`` bytes of an open binary file, or raise ValueError
+    ``<file>: <truncated>``. The size is checked against the bytes left in
+    the file before the read, so a damaged size field is a truncation rather
+    than a request for more memory than the file holds."""
+    if size > os.fstat(buf.fileno()).st_size - buf.tell():
+        raise ValueError(f"{buf.name}: {truncated}")
+    return buf.read(size)
 
 
 def _read_str(buf) -> str:
-    (length,) = struct.unpack("<I", _read_exact(buf, 4))
-    return _read_exact(buf, length).decode("utf-8")
+    (length,) = struct.unpack("<I", read_exact(buf, 4))
+    return read_exact(buf, length).decode("utf-8")
 
 
 def _write_array(buf, array: np.ndarray, dtype: str):
@@ -427,7 +410,7 @@ def _write_array(buf, array: np.ndarray, dtype: str):
 
 def _read_array(buf, count: int, dtype: str) -> np.ndarray:
     itemsize = np.dtype(dtype).itemsize
-    return np.frombuffer(_read_exact(buf, count * itemsize), dtype=dtype).copy()
+    return np.frombuffer(read_exact(buf, count * itemsize), dtype=dtype).copy()
 
 
 @contextmanager
@@ -458,7 +441,7 @@ def save_dataset(dataset: IndexedDataset, path):
                 vocab.num_entities,
                 vocab.num_relations,
                 vocab.num_forward_relations,
-                dataset.num_raw_train,
+                len(dataset.raw_train),
                 len(dataset.valid),
                 len(dataset.test),
             )
@@ -470,7 +453,7 @@ def save_dataset(dataset: IndexedDataset, path):
             _write_str(buf, label)
         _write_array(buf, vocab.relation_freqs, "<u8")
         _write_array(buf, vocab.reverse_of, "<u4")
-        _write_array(buf, dataset.train[: dataset.num_raw_train], "<u4")
+        _write_array(buf, dataset.raw_train, "<u4")
         _write_array(buf, dataset.valid, "<u4")
         _write_array(buf, dataset.test, "<u4")
 
@@ -481,31 +464,20 @@ def load_dataset(path) -> IndexedDataset:
         if magic != CACHE_MAGIC:
             raise ValueError(f"{path}: not a dataset cache (bad magic {magic!r})")
         num_entities, num_relations, num_forward, n_train, n_valid, n_test = struct.unpack(
-            "<6I", _read_exact(buf, 24)
+            "<6I", read_exact(buf, 24)
         )
         entity_labels = [_read_str(buf) for _ in range(num_entities)]
         entity_freqs = _read_array(buf, num_entities, "<u8").astype(np.int64)
         relation_labels = [_read_str(buf) for _ in range(num_relations)]
         relation_freqs = _read_array(buf, num_relations, "<u8").astype(np.int64)
-        reverse_of = _read_array(buf, num_relations, "<u4").astype(np.int32)
+        reverse_of = _read_array(buf, num_relations, "<u4")
         train = _read_array(buf, n_train * 3, "<u4").astype(np.int32).reshape(-1, 3)
         valid = _read_array(buf, n_valid * 3, "<u4").astype(np.int32).reshape(-1, 3)
         test = _read_array(buf, n_test * 3, "<u4").astype(np.int32).reshape(-1, 3)
         if buf.read(1):
             raise ValueError(f"{path}: trailing bytes after the test split")
 
-    vocab = Vocabulary(
-        entity_labels=entity_labels,
-        entity_freqs=entity_freqs,
-        relation_labels=relation_labels,
-        relation_freqs=relation_freqs,
-        reverse_of=reverse_of,
-        num_forward_relations=num_forward,
-    )
-    return IndexedDataset(
-        vocab=vocab,
-        train=augment_reverse(train, vocab),
-        valid=valid,
-        test=test,
-        num_raw_train=n_train,
-    )
+    vocab = Vocabulary(entity_labels, entity_freqs, relation_labels, relation_freqs)
+    if num_forward != vocab.num_forward_relations or np.any(reverse_of != vocab.reverse_of):
+        raise ValueError(f"{path}: stored reverse map disagrees with the relation labels")
+    return IndexedDataset(vocab, train, valid, test)

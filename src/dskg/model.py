@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write
+from .data import atomic_write, read_exact
 
 ARCH_DSKG = "dskg"
 ARCH_SHARED = "shared"
@@ -429,11 +429,8 @@ def load_checkpoint(path) -> ModelParams:
         magic = buf.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        header = buf.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated checkpoint header")
         version, num_entities, num_relations, embed_dim, num_layers, arch_code = (
-            _HEADER.unpack(header)
+            _HEADER.unpack(read_exact(buf, _HEADER.size, "truncated checkpoint header"))
         )
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
@@ -446,10 +443,7 @@ def load_checkpoint(path) -> ModelParams:
             raise ValueError(f"{path}: checkpoint header {exc}") from None
         tensors = {}
         for name, shape in shapes.items():
-            size = 4 * int(np.prod(shape))
-            raw = buf.read(size)
-            if len(raw) != size:
-                raise ValueError(f"{path}: truncated checkpoint at tensor {name}")
+            raw = read_exact(buf, 4 * int(np.prod(shape)), f"truncated checkpoint at tensor {name}")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
         if buf.read(1):
             raise ValueError(f"{path}: trailing bytes after last tensor")

@@ -35,7 +35,7 @@ from .model import (
 )
 from .sampling import log_uniform_probs, log_uniform_sample, negatives_for_batch
 
-ARCH_CHOICES = ("dskg", "shared-2", "shared-4")
+ARCH_CHOICES = (ARCH_DSKG, ARCH_SHARED)
 PRECISION_CHOICES = ("standard", "high")
 DEFAULT_NEGATIVES = 512
 
@@ -51,7 +51,7 @@ class TrainConfig:
     keep_prob: float = 0.5
     entity_negatives: int | None = None
     relation_negatives: int | None = None
-    arch: str = "dskg"  # dskg | shared-2 | shared-4
+    arch: str = ARCH_DSKG  # or ARCH_SHARED: one stack serves both timesteps
     relation_loss: bool = True
     epochs: int = 100
     eval_interval: int = 1
@@ -77,12 +77,6 @@ class TrainConfig:
         if not 1 <= self.num_layers <= MAX_LAYERS:
             raise ValueError(f"num_layers must be in 1..{MAX_LAYERS}")
 
-    def model_arch(self) -> tuple[str, int]:
-        """Map the variant name to (model architecture, layer count)."""
-        if self.arch == "dskg":
-            return ARCH_DSKG, self.num_layers
-        return ARCH_SHARED, int(self.arch.split("-")[1])
-
     def numpy_dtype(self):
         return np.float64 if self.precision == "high" else np.float32
 
@@ -98,22 +92,6 @@ class TrainConfig:
         if not 1 <= n_r < num_relations:
             raise ValueError(f"relation_negatives must be in [1, {num_relations}), got {n_r}")
         return n_e, n_r
-
-
-def sampled_softmax_loss(scores, true_index: int = 0):
-    """Cross-entropy over the true label plus its negative set.
-
-    loss = -score[true] + log sum_j exp(score[j]), stabilized by max
-    subtraction. Accepts a single score vector or a (batch, candidates)
-    matrix; returns a scalar or a per-row vector accordingly.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("sampled_softmax_loss requires finite scores")
-    top = scores.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(scores - top).sum(axis=-1)) + top[..., 0]
-    loss = lse - scores[..., true_index]
-    return float(loss) if loss.ndim == 0 else loss
 
 
 def _columns(neg: np.ndarray, lexicon_size: int):
@@ -156,7 +134,7 @@ def _loss_term(weight, bias, h, true_ids, neg, log_q):
         scores[:, 1:] -= log_q[neg]
     # Checked before the collision mask writes its -inf entries.
     if not np.all(np.isfinite(scores)):
-        raise ValueError("sampled_softmax_loss requires finite scores")
+        raise ValueError("sampled-softmax loss requires finite scores")
     scores[:, 1:][neg == true_ids[:, None]] = -np.inf
     top = scores.max(axis=1, keepdims=True)
     probs = np.exp(scores - top)
@@ -413,13 +391,12 @@ def train(
     from .evaluation import EnhanceConfig, evaluate_entity_prediction
 
     config.resolve_negatives(dataset.vocab.num_entities, dataset.vocab.num_relations)
-    arch, layers = config.model_arch()
     params = init_params(
         dataset.vocab.num_entities,
         dataset.vocab.num_relations,
         config.embed_dim,
-        layers,
-        arch=arch,
+        config.num_layers,
+        arch=config.arch,
         seed=config.seed,
         dtype=config.numpy_dtype(),
     )

@@ -61,7 +61,7 @@ class TestPrepare:
         assert "train=5" in stdout and "valid=1" in stdout and "test=1" in stdout
         assert "train_sequences=10" in stdout
         dataset = data.load_dataset(out / "dataset.dskg")
-        assert dataset.num_raw_train == 5
+        assert len(dataset.raw_train) == 5
         assert (out / "stats.txt").exists()
         assert (out / "config.resolved").exists()
 
@@ -143,11 +143,13 @@ class TestTrain:
         out = tmp_path / "run"
         code, _, _ = run_cli(
             capsys, "train", "--data", str(tiny_dir), "--out", str(out),
-            "--epochs", "0", "--arch", "shared-4", "--layers", "4",
+            "--epochs", "0", "--arch", "shared", "--layers", "3",
         )
         assert code == 0
         resolved = (out / "config.resolved").read_text()
-        assert "arch=shared-4" in resolved and "layers=4" in resolved
+        assert "arch=shared" in resolved.split() and "layers=3" in resolved.split()
+        params = model.load_checkpoint(out / "checkpoint.dskg")
+        assert (params.arch, params.num_layers) == ("shared", 3)
 
     def test_config_file_env_and_flag_precedence(self, tiny_dir, tmp_path, capsys, monkeypatch):
         config_file = tmp_path / "run.conf"
@@ -319,6 +321,27 @@ class TestEval:
         ]
         assert not list(out.glob("*.report"))
 
+    def test_checkpoint_size_past_the_end_is_one_line_value_error(
+        self, trained, tmp_path, capsys
+    ):
+        dataset, checkpoint = trained
+        blob = bytearray(checkpoint.read_bytes())
+        start = len(model.CHECKPOINT_MAGIC)
+        header = list(model._HEADER.unpack_from(blob, start))
+        header[1] = 2**31  # num_entities
+        model._HEADER.pack_into(blob, start, *header)
+        bad = tmp_path / "huge.dskg"
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "r"
+        code, _, err = run_cli(
+            capsys, "eval", "--checkpoint", str(bad), "--data", str(dataset), "--out", str(out),
+        )
+        assert code == 1
+        assert err.strip().split("\n") == [
+            f"error\tValueError\t{bad}: truncated checkpoint at tensor entity_embed"
+        ]
+        assert not list(out.glob("*.report"))
+
     def test_empty_split_is_one_line_value_error(self, tmp_path, capsys):
         splits = write_tiny_splits(tmp_path)
         (splits / "valid.txt").write_text("", encoding="utf-8")
@@ -411,7 +434,8 @@ class TestWorkers:
 class TestOptionSources:
     @pytest.mark.parametrize("source", ["flag", "config", "env"])
     @pytest.mark.parametrize("command, key, value, message", [
-        ("train", "arch", "bogus", "arch must be one of ('dskg', 'shared-2', 'shared-4')"),
+        ("train", "arch", "bogus", "arch must be one of ('dskg', 'shared')"),
+        ("train", "arch", "shared-4", "arch must be one of ('dskg', 'shared')"),
         ("train", "precision", "float16", "precision must be one of ('standard', 'high')"),
         ("train", "epochs", "x", "epochs: cannot parse 'x' as int"),
         ("train", "learning_rate", "nan", "learning_rate must be positive and finite, got nan"),
@@ -468,13 +492,15 @@ class TestAuditInverse:
     @pytest.mark.parametrize("damage, message", [
         pytest.param("duplicate_entity", "duplicate entity label 'a'", id="duplicate_entity"),
         pytest.param("reverse_out_of_range",
-                     "reverse relation id 999 out of range for 4 relations", id="reverse_out_of_range"),
+                     "{cache}: stored reverse map disagrees with the relation labels",
+                     id="reverse_out_of_range"),
         pytest.param("reverse_in_valid",
                      "valid split holds reverse relation 'p^-1'", id="reverse_in_valid"),
         pytest.param("reverse_mispaired",
-                     "reverse map pairs relation 'q' with 'p^-1'", id="reverse_mispaired"),
+                     "{cache}: stored reverse map disagrees with the relation labels",
+                     id="reverse_mispaired"),
         pytest.param("forward_count",
-                     "2 of 4 relation labels are forward ones, expected 1 of 2",
+                     "{cache}: stored reverse map disagrees with the relation labels",
                      id="forward_count"),
     ])
     def test_damaged_vocabulary_is_one_line_value_error(self, tiny_dir, tmp_path, capsys,
@@ -506,7 +532,27 @@ class TestAuditInverse:
         cache.write_bytes(bytes(blob))
         code, stdout, err = run_cli(capsys, "audit-inverse", "--data", str(cache))
         assert code == 1 and stdout == ""
-        assert err.strip().split("\n") == [f"error\tValueError\t{message}"]
+        assert err.strip().split("\n") == [f"error\tValueError\t{message.format(cache=cache)}"]
+
+    def test_failed_out_write_keeps_the_previous_file(self, tiny_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        out_file = tmp_path / "audit" / "audit.tsv"
+        out_file.parent.mkdir()
+        out_file.write_bytes(b"previous\treport\n")
+        real = data.write_inverse_audit
+
+        def first_row_then_fail(rows, vocab, handle):
+            real(rows[:1], vocab, handle)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(data, "write_inverse_audit", first_row_then_fail)
+        code, stdout, err = run_cli(
+            capsys, "audit-inverse", "--data", str(tiny_dir), "--out", str(out_file)
+        )
+        assert (code, stdout) == (1, "")
+        assert err.strip().split("\n") == ["error\tOSError\tdisk full"]
+        assert out_file.read_bytes() == b"previous\treport\n"
+        assert [p.name for p in out_file.parent.iterdir()] == ["audit.tsv"]
 
 
 class TestConfigHelpers:

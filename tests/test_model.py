@@ -464,3 +464,17 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_size_past_the_end_is_truncation(self, tmp_path):
+        # A damaged size must not become a read of that many bytes.
+        path = tmp_path / "ck.dskg"
+        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
+        blob = bytearray(path.read_bytes())
+        start = len(model.CHECKPOINT_MAGIC)
+        header = list(model._HEADER.unpack_from(blob, start))
+        header[1] = 2**31  # num_entities
+        model._HEADER.pack_into(blob, start, *header)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: truncated checkpoint at tensor entity_embed"
