@@ -18,8 +18,6 @@ from pathlib import Path
 from . import beam, config as cfg, data, evaluation, toygen, training
 from .model import load_checkpoint
 
-TRAIN_ALIASES = {"num_layers": "layers"}  # TrainConfig field -> option name
-
 
 def _option_table(config_cls, aliases=None) -> dict:
     """Option name -> (type, default), read off a config dataclass's fields.
@@ -44,7 +42,7 @@ def _config_from(config_cls, options: dict, aliases=None):
     )
 
 
-TRAIN_OPTIONS = _option_table(training.TrainConfig, TRAIN_ALIASES)
+TRAIN_OPTIONS = _option_table(training.TrainConfig, training.TRAIN_ALIASES)
 EVAL_OPTIONS = {
     "alpha": (float, evaluation.EnhanceConfig.alpha),
     "pessimistic": (bool, False),
@@ -138,7 +136,7 @@ def cmd_gen_toy(args) -> int:
 
 def cmd_train(args) -> int:
     options = _resolve(args, TRAIN_OPTIONS)
-    train_config = _config_from(training.TrainConfig, options, TRAIN_ALIASES)
+    train_config = _config_from(training.TrainConfig, options, training.TRAIN_ALIASES)
     dataset = load_any_dataset(args.data)
     train_config.resolve_negatives(dataset.vocab.num_entities, dataset.vocab.num_relations)
     out_dir = Path(args.out)

@@ -33,7 +33,7 @@ ARCH_SHARED = "shared"
 _ARCH_CODES = {ARCH_DSKG: 0, ARCH_SHARED: 1}
 _ARCH_NAMES = {code: name for name, code in _ARCH_CODES.items()}
 # Cell stack run at timestep 0 (entity) and timestep 1 (relation).
-_STEP_STACKS = {
+STEP_STACKS = {
     ARCH_DSKG: ("entity_cells", "relation_cells"),
     ARCH_SHARED: ("shared_cells", "shared_cells"),
 }
@@ -141,10 +141,10 @@ def tensor_shapes(
         raise ValueError(f"num_layers must be in 1..{MAX_LAYERS}, got {num_layers}")
     k = embed_dim
     shapes = {"entity_embed": (num_entities, k), "relation_embed": (num_relations, k)}
-    for stack in dict.fromkeys(_STEP_STACKS[arch]):
+    for stack in dict.fromkeys(STEP_STACKS[arch]):
         for layer in range(num_layers):
             shapes[f"{stack}.{layer}.w_x"] = (4 * k, k)
-            if stack == _STEP_STACKS[arch][1]:
+            if stack == STEP_STACKS[arch][1]:
                 shapes[f"{stack}.{layer}.w_h"] = (4 * k, k)
             shapes[f"{stack}.{layer}.b"] = (4 * k,)
     shapes.update(
@@ -205,7 +205,7 @@ def active_cells(params: ModelParams, timestep: int) -> list[CellParams]:
     Works on a gradient map too; in the shared architecture both timesteps
     return views of the same arrays. A stack that stores no ``w_h`` gives None.
     """
-    stack = _STEP_STACKS[params.arch][timestep]
+    stack = STEP_STACKS[params.arch][timestep]
     t = params.tensors
     return [
         CellParams(t[f"{stack}.{layer}.w_x"], t.get(f"{stack}.{layer}.w_h"), t[f"{stack}.{layer}.b"])
@@ -298,29 +298,36 @@ class ForwardCache:
     r_ids: np.ndarray
     step1: list
     step2: list
-    masks1: list
+    masks1: list  # bool dropout masks, applied with ``scale``
     masks2: list
+    scale: float | None
 
 
-def _run_stack(cells: list[CellParams], layer_in, states, dropout_mask):
+def apply_mask(x, keep, scale):
+    """``x * (keep * scale)`` for a bool mask ``keep``, signed zeros too."""
+    out = x * keep
+    out *= scale
+    return out
+
+
+def _run_stack(cells: list[CellParams], layer_in, states, dropout):
     """One timestep up a stack; ``states`` holds each layer's incoming (h, c).
 
-    Returns the top output and, per layer, the backward cache, the new state
-    and the dropout mask applied to the layer's upward copy (None without
-    a ``dropout_mask`` factory).
+    ``dropout(h)``, if given, returns the masked upward copy of a layer's
+    output and its bool mask. Returns the top output and, per layer, the
+    backward cache, the new state and the mask (None without ``dropout``).
     """
     caches, new_states, masks = [], [], []
     for cell, (h_prev, c_prev) in zip(cells, states):
         h, c, cache = lstm_forward(cell, layer_in, h_prev, c_prev)
         caches.append(cache)
         new_states.append((h, c))
-        mask = dropout_mask() if dropout_mask else None
+        layer_in, mask = (h, None) if dropout is None else dropout(h)
         masks.append(mask)
-        layer_in = h if mask is None else h * mask
     return layer_in, caches, new_states, masks
 
 
-def entity_step(params: ModelParams, s_ids, dropout_mask=None):
+def entity_step(params: ModelParams, s_ids, dropout=None):
     """Step 1: entity embeddings up the step-1 stack from a zero state.
 
     Each layer's incoming state is ``(None, None)``, the zero state. Returns
@@ -333,7 +340,7 @@ def entity_step(params: ModelParams, s_ids, dropout_mask=None):
         active_cells(params, 0),
         params.entity_embed[s_ids],
         [(None, None)] * params.num_layers,
-        dropout_mask,
+        dropout,
     )
 
 
@@ -363,21 +370,21 @@ def forward_batch(
     if keep_prob is not None and rng is None:
         raise ValueError("dropout requires an rng")
 
-    dropout_mask = None
+    dropout = scale = None
     if keep_prob is not None and keep_prob < 1.0:
         shape = (len(s_ids), params.embed_dim)
         scale = params.dtype.type(1 / keep_prob)
 
-        def dropout_mask():
-            return np.multiply(rng.random(shape) < keep_prob, scale)
+        def dropout(h):
+            keep = rng.random(shape) < keep_prob
+            return apply_mask(h, keep, scale), keep
 
-    h_s, step1, states1, masks1 = entity_step(params, s_ids, dropout_mask)
+    h_s, step1, states1, masks1 = entity_step(params, s_ids, dropout)
     h_r, step2, _, masks2 = _run_stack(
-        active_cells(params, 1), params.relation_embed[r_ids], states1, dropout_mask
+        active_cells(params, 1), params.relation_embed[r_ids], states1, dropout
     )
-    cache = ForwardCache(
-        s_ids=s_ids, r_ids=r_ids, step1=step1, step2=step2, masks1=masks1, masks2=masks2
-    )
+    cache = ForwardCache(s_ids=s_ids, r_ids=r_ids, step1=step1, step2=step2,
+                         masks1=masks1, masks2=masks2, scale=scale)
     return h_s, h_r, cache
 
 

@@ -13,6 +13,7 @@ pattern visible in training.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,11 +128,13 @@ def generate_toy_kg(config: ToyConfig = ToyConfig()) -> ToyKG:
 
 
 def write_toy_kg(kg: ToyKG, directory):
+    """Write the three splits; none replaces its file before all are written."""
     from pathlib import Path
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, triples in (("train", kg.train), ("valid", kg.valid), ("test", kg.test)):
-        with atomic_write(directory / f"{name}.txt") as buf:
+    with ExitStack() as stack:
+        for name, triples in (("train", kg.train), ("valid", kg.valid), ("test", kg.test)):
+            buf = stack.enter_context(atomic_write(directory / f"{name}.txt"))
             for t in triples:
                 buf.write(f"{t.subject}\t{t.relation}\t{t.object}\n".encode())

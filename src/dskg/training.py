@@ -14,6 +14,8 @@ differences in float64.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,12 +27,13 @@ from .model import (
     ARCH_DSKG,
     ARCH_SHARED,
     MAX_LAYERS,
+    STEP_STACKS,
     ModelParams,
     active_cells,
+    apply_mask,
     forward_batch,
     init_params,
     lstm_backward,
-    named_tensors,
     save_checkpoint,
 )
 from .sampling import log_uniform_probs, log_uniform_sample, negatives_for_batch
@@ -38,6 +41,7 @@ from .sampling import log_uniform_probs, log_uniform_sample, negatives_for_batch
 ARCH_CHOICES = (ARCH_DSKG, ARCH_SHARED)
 PRECISION_CHOICES = ("standard", "high")
 DEFAULT_NEGATIVES = 512
+TRAIN_ALIASES = {"num_layers": "layers"}  # TrainConfig field -> option name
 
 
 @dataclass
@@ -62,20 +66,20 @@ class TrainConfig:
     precision: str = "standard"
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError("keep_prob must be in (0, 1]")
-        if self.arch not in ARCH_CHOICES:
-            raise ValueError(f"arch must be one of {ARCH_CHOICES}")
-        if self.precision not in PRECISION_CHOICES:
-            raise ValueError(f"precision must be one of {PRECISION_CHOICES}")
-        if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
-            raise ValueError("batch_size >= 1, epochs >= 0, patience >= 1 required")
-        if self.eval_interval < 1 or self.embed_dim < 1:
-            raise ValueError("eval_interval >= 1 and embed_dim >= 1 required")
-        if not 1 <= self.num_layers <= MAX_LAYERS:
-            raise ValueError(f"num_layers must be in 1..{MAX_LAYERS}")
+        for name, ok, rule in (
+            ("learning_rate", 0.0 < self.learning_rate < np.inf, "must be positive and finite"),
+            ("keep_prob", 0.0 < self.keep_prob <= 1.0, "must be in (0, 1]"),
+            ("arch", self.arch in ARCH_CHOICES, f"must be one of {ARCH_CHOICES}"),
+            ("precision", self.precision in PRECISION_CHOICES, f"must be one of {PRECISION_CHOICES}"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("epochs", self.epochs >= 0, "must be >= 0"),
+            ("patience", self.patience >= 1, "must be >= 1"),
+            ("eval_interval", self.eval_interval >= 1, "must be >= 1"),
+            ("embed_dim", self.embed_dim >= 1, "must be >= 1"),
+            ("num_layers", 1 <= self.num_layers <= MAX_LAYERS, f"must be in 1..{MAX_LAYERS}"),
+        ):
+            if not ok:
+                raise ValueError(f"{TRAIN_ALIASES.get(name, name)} {rule}, got {getattr(self, name)!r}")
 
     def numpy_dtype(self):
         return np.float64 if self.precision == "high" else np.float32
@@ -144,8 +148,8 @@ def _loss_term(weight, bias, h, true_ids, neg, log_q):
     return losses, (cols, pos, probs)
 
 
-def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
-    """Accumulate one term's output-block grads; return its grad w.r.t. ``h``.
+def _backward_term(apply, kind, weight, h, true_ids, term, batch_size):
+    """Hand one term's output-block grads to ``apply``; return its grad w.r.t. ``h``.
 
     The negatives' row gradients are written back into a ``(B, C)`` block,
     so ``dh`` and ``dW[cols]`` each come from one matmul. A row's negatives
@@ -161,49 +165,65 @@ def _backward_term(grads_w, grads_b, weight, h, true_ids, term, batch_size):
         block = np.zeros((len(h), len(cols)), dtype=h.dtype)
         block[np.arange(len(h))[:, None], pos] = dscores[:, 1:]
     dh = dscores[:, :1] * weight[true_ids] + block @ weight[cols]
-    np.add.at(grads_w, true_ids, dscores[:, :1] * h)
-    np.add.at(grads_b, true_ids, dscores[:, 0])
-    grads_w[cols] += block.T @ h
-    grads_b[cols] += block.sum(axis=0)
+    apply(f"{kind}_out_w", *_row_grad(true_ids, dscores[:, :1] * h, cols, block.T @ h))
+    apply(f"{kind}_out_b", *_row_grad(true_ids, dscores[:, 0], cols, block.sum(axis=0)))
     return dh
 
 
-def _backward_stack(cells, gcells, caches, masks, d_out, carried):
+def _backward_stack(params, cache, timestep, d_out, carried, apply):
     """One timestep down a stack, the reverse of ``_run_stack``.
 
     ``carried[layer]`` is the ``(dh, dc)`` a layer's state gets from the next
-    timestep, or ``(None, None)``. Adds the cells' grads into ``gcells`` and
-    returns the gradient at the stack's input and each layer's ``(dh_prev,
-    dc_prev)`` for the previous timestep.
+    timestep, or ``(None, None)``. Hands the cells' grads to ``apply`` by name,
+    dropping each layer's cache, mask and carried state after its backward, and
+    returns the stack input's gradient and each layer's ``(dh_prev, dc_prev)``.
     """
+    stack = STEP_STACKS[params.arch][timestep]
+    caches, masks = ((cache.step1, cache.masks1), (cache.step2, cache.masks2))[timestep]
+    cells = active_cells(params, timestep)
     to_carry = [None] * len(cells)
     for layer in reversed(range(len(cells))):
         dh_carry, dc_carry = carried[layer]
-        dh = d_out if masks[layer] is None else d_out * masks[layer]
+        dh = d_out if masks[layer] is None else apply_mask(d_out, masks[layer], cache.scale)
         if dh_carry is not None:
             dh = dh + dh_carry
         d_out, dh_prev, dc_prev, g_wx, g_wh, g_b = lstm_backward(
             cells[layer], caches[layer], dh, dc_carry
         )
-        gcells[layer].w_x += g_wx
+        caches[layer] = masks[layer] = carried[layer] = None
+        apply(f"{stack}.{layer}.w_x", g_wx)
         if g_wh is not None:  # None for a step run from the zero state
-            gcells[layer].w_h += g_wh
-        gcells[layer].b += g_b
+            apply(f"{stack}.{layer}.w_h", g_wh)
+        apply(f"{stack}.{layer}.b", g_b)
         to_carry[layer] = (dh_prev, dc_prev)
     return d_out, to_carry
 
 
-def _backward_network(params: ModelParams, cache, dh_s, dh_r, grads: ModelParams):
+def _row_grad(ids, d_rows, more_ids=np.empty(0, dtype=np.int64), more_rows=0.0):
+    """A table's gradient rows at its sorted distinct ids, and the ids: ``d_rows``
+    added at ``ids`` in batch order (as ``np.add.at``), then ``more_rows``."""
+    rows, at = np.unique(np.concatenate([ids, more_ids]), return_inverse=True)
+    grad = np.zeros((len(rows), *d_rows.shape[1:]), dtype=d_rows.dtype)
+    np.add.at(grad, at[: len(ids)], d_rows)
+    grad[at[len(ids):]] += more_rows
+    return grad, rows
+
+
+def _backward_network(params: ModelParams, cache, dh_s, dh_r, apply):
+    # The shared stack runs at both timesteps: its step-2 grads are held
+    # until step 1 adds its share (none to w_h: step 1 starts from zero).
+    held = {}
+    def add_held(name, grad):
+        apply(name, grad + held.pop(name) if name in held else grad)
     # Relation step first: it feeds gradient back into the entity-step states.
     d_relation, carried = _backward_stack(
-        active_cells(params, 1), active_cells(grads, 1), cache.step2, cache.masks2,
-        dh_r, [(None, None)] * params.num_layers,
-    )
-    np.add.at(grads.relation_embed, cache.r_ids, d_relation)
-    d_entity, _ = _backward_stack(
-        active_cells(params, 0), active_cells(grads, 0), cache.step1, cache.masks1, dh_s, carried
-    )
-    np.add.at(grads.entity_embed, cache.s_ids, d_entity)
+        params, cache, 1, dh_r, [(None, None)] * params.num_layers,
+        held.__setitem__ if params.arch == ARCH_SHARED else apply)
+    apply("relation_embed", *_row_grad(cache.r_ids, d_relation))
+    d_entity, _ = _backward_stack(params, cache, 0, dh_s, carried, add_held)
+    for name, grad in held.items():
+        apply(name, grad)
+    apply("entity_embed", *_row_grad(cache.s_ids, d_entity))
 
 
 def _negatives(labels, lexicon_size, count, shared, rng):
@@ -221,12 +241,14 @@ def batch_loss_and_grads(
     *,
     negative_rng: np.random.Generator | None = None,
     dropout_rng: np.random.Generator | None = None,
-    grads: ModelParams | None = None,
-):
-    """Mean loss over a batch and gradients for every tensor.
+    apply: Callable[..., None],
+) -> float:
+    """Mean loss over a batch; each tensor's gradient goes to ``apply``.
 
-    ``grads``, a map laid out like ``params``, is zeroed and filled in place
-    and returned; without it a fresh map is returned.
+    Each is handed over once, as soon as the backward has finished it, as a
+    fresh array it does not touch again: ``apply(name, grad)`` for a whole
+    tensor, ``apply(name, grad, rows)`` for a table's rows at the sorted ids
+    ``rows`` the batch touched (its other rows' gradient is zero).
 
     The negatives are drawn from ``negative_rng`` through this module's
     ``log_uniform_sample`` (shared) or ``negatives_for_batch`` (per example),
@@ -266,27 +288,19 @@ def batch_loss_and_grads(
     total += losses
     mean_loss = float(total.mean())
 
-    if grads is None:
-        grads = params.zeros_like()
-    else:
-        for tensor in grads.tensors.values():
-            tensor.fill(0)
-    dh_r = _backward_term(grads.entity_out_w, grads.entity_out_b, params.entity_out_w,
-                          h_r, objects, ent_term, batch_size)
+    dh_r = _backward_term(apply, "entity", params.entity_out_w, h_r, objects, ent_term, batch_size)
     if config.relation_loss:
-        dh_s = _backward_term(grads.relation_out_w, grads.relation_out_b,
-                              params.relation_out_w, h_s, relations, rel_term, batch_size)
-    else:
+        dh_s = _backward_term(apply, "relation", params.relation_out_w, h_s, relations,
+                              rel_term, batch_size)
+    else:  # the unused block still gets its (zero) gradient, so Adam moves it as ever
         dh_s = np.zeros_like(h_s)
-    # The score blocks are spent: free them before the LSTM backward, where
-    # the step's memory peaks.
+        apply("relation_out_w", np.zeros_like(params.relation_out_w))
+        apply("relation_out_b", np.zeros_like(params.relation_out_b))
+    # The score blocks are spent: free them before the LSTM backward.
     del ent_term, rel_term
 
-    _backward_network(params, cache, dh_s, dh_r, grads)
-    for name, tensor in named_tensors(grads):
-        if not np.all(np.isfinite(tensor)):
-            raise FloatingPointError(f"non-finite gradient in {name}")
-    return mean_loss, grads
+    _backward_network(params, cache, dh_s, dh_r, apply)
+    return mean_loss
 
 
 ADAM_BETA1 = 0.9
@@ -299,19 +313,17 @@ ADAM_BLOCK = 1 << 16  # elements per block: a few hundred KB per operand
 class TrainState:
     """Everything one training run advances, step by step and epoch by epoch.
 
-    ``first`` and ``second`` are Adam's moments, laid out like ``params``.
-    ``grads`` is the map the first step built. Refilled by every later step,
-    it sits above that step's caches and keeps later steps' temporaries below
-    a live block, so malloc does not hand them back to the kernel only to
-    fault them in again. ``best`` copies ``params`` only when an evaluation
-    beats ``best_val_mrr``, which starts at ``-inf``: a NaN MRR never beats it.
+    ``first`` and ``second`` are Adam's moments, laid out like ``params``;
+    ``step`` counts the optimizer steps begun. No gradient map is kept: each
+    gradient is applied as the backward finishes it. ``best`` copies
+    ``params`` only when an evaluation beats ``best_val_mrr``, which starts
+    at ``-inf``: a NaN MRR never beats it.
     """
 
     params: ModelParams
     first: ModelParams
     second: ModelParams
     step: int = 0
-    grads: ModelParams | None = None
     best: ModelParams | None = None
     best_val_mrr: float = -np.inf
     bad_evals: int = 0
@@ -324,47 +336,50 @@ class TrainState:
         return self.params if self.best is None else self.best
 
 
-def adam_step(state: TrainState, learning_rate: float):
-    """Bias-corrected Adam update of ``state.params`` by ``state.grads``, in place.
+def adam_step(state: TrainState, learning_rate: float, name: str, grad: np.ndarray,
+              rows: np.ndarray | None = None):
+    """Bias-corrected Adam update, at step ``state.step``, of the tensor ``name``
+    of ``state.params`` and its two moments by ``grad``, in place.
 
-    Each tensor is walked in blocks of ``ADAM_BLOCK`` elements through two
-    block-sized scratch buffers, so the operands stay in cache and no
-    full-size temporary is made. Per element the operations and their order
-    are those of
+    ``grad`` covers the whole tensor or, given sorted distinct ``rows``, those
+    rows; the other rows' moments skip adding a zero gradient, which changes
+    no bit, as a moment is never ``-0.0``. The tensor is walked in blocks of
+    about ``ADAM_BLOCK`` elements, so the operands stay in cache. Per element
+    the operations and their order are those of
 
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * (g * g)
         p -= lr * (m / correct1) / (sqrt(v / correct2) + eps)
 
-    so the result is the same bits as evaluating it on whole tensors.
+    so the result is the same bits as evaluating it on whole tensors. A
+    non-finite ``grad`` raises ``FloatingPointError`` before any update.
     """
-    state.step += 1
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError(f"non-finite gradient in {name}")
     beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     correct1 = 1.0 - beta1 ** state.step
     correct2 = 1.0 - beta2 ** state.step
-    dtype = state.params.dtype
-    buf_a, buf_b = np.empty(ADAM_BLOCK, dtype), np.empty(ADAM_BLOCK, dtype)
-    maps = (state.params, state.grads, state.first, state.second)
-    for tensors in zip(*(m.tensors.values() for m in maps)):
-        flat_p, flat_g, flat_m, flat_v = (t.reshape(-1, copy=False) for t in tensors)
-        for lo in range(0, flat_p.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, flat_p.size)
-            g, m, v = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
-            a, b = buf_a[: hi - lo], buf_b[: hi - lo]
-            m *= beta1
-            np.multiply(g, 1.0 - beta1, out=a)
-            m += a
-            v *= beta2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - beta2
-            v += a
-            np.divide(m, correct1, out=a)
-            a *= learning_rate
-            np.divide(v, correct2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            flat_p[lo:hi] -= a
+    # As rows: a 1-D tensor is a column of one-element rows.
+    param, first, second, grad = (t.reshape(len(t), -1) for t in (
+        state.params.tensors[name], state.first.tensors[name], state.second.tensors[name], grad))
+    per_block = max(1, ADAM_BLOCK // param.shape[1])
+    buf_a, buf_b = np.empty((2, min(per_block, len(param)), param.shape[1]), param.dtype)
+    for lo in range(0, len(param), per_block):
+        hi = min(lo + per_block, len(param))
+        start, stop = (lo, hi) if rows is None else np.searchsorted(rows, (lo, hi))
+        g, at = grad[start:stop], slice(None) if rows is None else rows[start:stop] - lo
+        m, v, a, b = first[lo:hi], second[lo:hi], buf_a[: hi - lo], buf_b[: hi - lo]
+        m *= beta1
+        m[at] += g * (1.0 - beta1)
+        v *= beta2
+        v[at] += g * g * (1.0 - beta2)
+        np.divide(m, correct1, out=a)
+        a *= learning_rate
+        np.divide(v, correct2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        param[lo:hi] -= a
 
 
 def train(
@@ -409,6 +424,12 @@ def train(
             )
             return report.mrr, report.hits10
 
+    # Keep what a step frees for the next step (glibc: mmap only above 32 MB, trim
+    # only above 1 GB); handed back to the kernel, it would be faulted in again.
+    with contextlib.suppress(AttributeError, OSError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
     started = time.perf_counter()
     log_handle = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
@@ -423,11 +444,12 @@ def train(
             for batch in batch_iterator(
                 dataset.train, config.batch_size, seed=[config.seed, 1, epoch]
             ):
-                loss, state.grads = batch_loss_and_grads(
+                state.step += 1
+                loss = batch_loss_and_grads(
                     state.params, batch, config,
-                    negative_rng=negative_rng, dropout_rng=dropout_rng, grads=state.grads,
+                    negative_rng=negative_rng, dropout_rng=dropout_rng,
+                    apply=lambda *handed: adam_step(state, config.learning_rate, *handed),
                 )
-                adam_step(state, config.learning_rate)
                 loss_sum += loss * len(batch)
             mean_loss = loss_sum / max(len(dataset.train), 1)
 

@@ -103,6 +103,33 @@ def make_params(num_entities=6, num_relations=4, embed_dim=4, num_layers=1,
     return params
 
 
+def loss_and_grad_map(params, batch, config, **kwargs):
+    """``batch_loss_and_grads``' loss, and the gradients its ``apply`` sink
+    received collected into a map laid out like ``params``.
+
+    Fails unless every tensor is handed over exactly once, whole or as
+    distinct sorted rows, with its tensor's dtype, and is left unchanged by
+    the rest of the backward. Rows are written into a zero tensor.
+    """
+    handed = {}
+
+    def collect(name, grad, rows=None):
+        assert name in params.tensors and name not in handed, name
+        assert rows is None or np.array_equal(rows, np.unique(rows)), name
+        at = ... if rows is None else rows
+        full = np.zeros_like(params.tensors[name])
+        assert (full[at].shape, grad.dtype) == (grad.shape, params.dtype), name
+        handed[name] = (full, at, grad, grad.copy())
+
+    loss = training.batch_loss_and_grads(params, batch, config, apply=collect, **kwargs)
+    assert set(handed) == set(params.tensors)
+    for name, (full, at, grad, copy) in handed.items():
+        assert np.array_equal(grad, copy), f"{name} changed after it was handed over"
+        full[at] = grad
+    return loss, ModelParams({name: handed[name][0] for name in params.tensors},
+                             params.arch, params.num_layers)
+
+
 def equalized_pair(params):
     """(dskg, shared) models that run the same cell at both steps.
 

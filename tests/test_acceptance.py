@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import equalized_pair, make_params
+from conftest import equalized_pair, loss_and_grad_map, make_params
 from test_evaluation import oracle_evaluate, oracle_filtered_rank, random_toy_dataset
 from test_beam import oracle_pairs, oracle_triples
 
@@ -31,7 +31,7 @@ from dskg.evaluation import (
 from dskg.model import ARCH_SHARED, forward_batch, init_params, named_tensors
 from dskg.sampling import log_uniform_probs, log_uniform_raw
 from dskg.toygen import ToyConfig, generate_toy_kg
-from dskg.training import TrainConfig, batch_loss_and_grads, train
+from dskg.training import TrainConfig, train
 
 
 def report(number, ok, detail):
@@ -73,10 +73,10 @@ def test_criterion_1_gradient_oracle(fix_negatives):
     fix_negatives(cand_e[:, 1:], cand_r[:, 1:])  # column 0 is each row's label
 
     def loss():
-        value, _ = batch_loss_and_grads(params, batch, config)
+        value, _ = loss_and_grad_map(params, batch, config)
         return value
 
-    _, grads = batch_loss_and_grads(params, batch, config)
+    _, grads = loss_and_grad_map(params, batch, config)
     step = 1e-5
     worst = 0.0
     for (_, tensor), (_, grad) in zip(named_tensors(params), named_tensors(grads)):

@@ -93,6 +93,36 @@ def test_traced_beam_scores_every_chunk_behind_the_wrapped_name():
     assert tracer.totals["beam.stage2_candidates"] == 9 * params.num_entities
 
 
+def test_traced_train_step_holds_adam_and_backward_spans():
+    """A tiny ``train()`` run under the installed tracer.
+
+    Each gradient is applied as the backward hands it over, so every
+    ``training.adam`` span (one per tensor per step) and every
+    ``model.lstm_backward`` span sits under a ``training.loss_and_grads``
+    span. ``training.loss_self_s`` subtracts both kinds; a step that ran Adam
+    or the LSTM backward around the wrapped names would book them as loss
+    time.
+    """
+    names = [f"e{i}" for i in range(8)]
+    train = [data.RawTriple(names[i], f"r{i % 2}", names[(i + 1) % 8]) for i in range(8)]
+    dataset = data.index_dataset(train)
+    config = training.TrainConfig(embed_dim=4, num_layers=2, batch_size=16, epochs=2,
+                                  eval_interval=3, keep_prob=0.5, seed=0)
+    tracer = tracing.install(tracing.Tracer())
+    try:
+        state = training.train(dataset, config)
+    finally:
+        tracer.uninstall()
+
+    steps = {span[0] for span in tracer.spans if span[1] == "training.loss_and_grads"}
+    assert len(steps) == state.step == 2  # 16 sequences, one batch per epoch
+    adam = [span for span in tracer.spans if span[1] == "training.adam"]
+    assert len(adam) == state.step * len(state.params.tensors)
+    backward = [span for span in tracer.spans if span[1] == "model.lstm_backward"]
+    assert len(backward) == state.step * 2 * config.num_layers
+    assert all(span[4] in steps for span in adam + backward)
+
+
 # (function, positional arguments, keyword arguments) as the workloads and
 # oracles call them; the values stand in for the real ones.
 CALLS = [

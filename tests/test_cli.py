@@ -434,12 +434,23 @@ class TestWorkers:
 class TestOptionSources:
     @pytest.mark.parametrize("source", ["flag", "config", "env"])
     @pytest.mark.parametrize("command, key, value, message", [
-        ("train", "arch", "bogus", "arch must be one of ('dskg', 'shared')"),
-        ("train", "arch", "shared-4", "arch must be one of ('dskg', 'shared')"),
-        ("train", "precision", "float16", "precision must be one of ('standard', 'high')"),
+        ("train", "arch", "bogus", "arch must be one of ('dskg', 'shared'), got 'bogus'"),
+        ("train", "arch", "shared-4", "arch must be one of ('dskg', 'shared'), got 'shared-4'"),
+        ("train", "precision", "float16",
+         "precision must be one of ('standard', 'high'), got 'float16'"),
         ("train", "epochs", "x", "epochs: cannot parse 'x' as int"),
         ("train", "learning_rate", "nan", "learning_rate must be positive and finite, got nan"),
         ("train", "learning_rate", "inf", "learning_rate must be positive and finite, got inf"),
+        ("train", "learning_rate", "0", "learning_rate must be positive and finite, got 0.0"),
+        ("train", "keep_prob", "0", "keep_prob must be in (0, 1], got 0.0"),
+        ("train", "keep_prob", "1.5", "keep_prob must be in (0, 1], got 1.5"),
+        ("train", "batch_size", "0", "batch_size must be >= 1, got 0"),
+        ("train", "epochs", "-1", "epochs must be >= 0, got -1"),
+        ("train", "patience", "0", "patience must be >= 1, got 0"),
+        ("train", "eval_interval", "0", "eval_interval must be >= 1, got 0"),
+        ("train", "embed_dim", "0", "embed_dim must be >= 1, got 0"),
+        ("train", "layers", "0", "layers must be in 1..4, got 0"),
+        ("train", "layers", "7", "layers must be in 1..4, got 7"),
         ("eval", "alpha", "2", "alpha must be in (0, 1) when enhancement is enabled"),
         ("predict-triples", "curve_points", "-5", "curve_points must be >= 0, got -5"),
         ("eval", "workers", "0", "workers must be >= 1, got 0"),
@@ -589,7 +600,7 @@ class TestConfigHelpers:
         write_resolved({"b": 2, "a": 1}, path)
         assert path.read_text() == "a=1\nb=2\n"
 
-    @pytest.mark.parametrize("writer", ["config.resolved", "gen-toy splits"])
+    @pytest.mark.parametrize("writer", ["config.resolved", "gen-toy splits", "gen-toy valid"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, writer):
         class Unwritable:
             def __str__(self):
@@ -602,8 +613,10 @@ class TestConfigHelpers:
             toygen.write_toy_kg(toygen.generate_toy_kg(toygen.ToyConfig()), tmp_path)
             kg = toygen.generate_toy_kg(toygen.ToyConfig(num_entities=20, num_chains=10,
                                                          num_extra_pairs=5))
-            # The last train line fails, after the others are written.
-            kg.train.append(data.RawTriple(Unwritable(), "r", "o"))
+            # The last line of a split fails, after the others are written;
+            # for valid.txt, after the whole new train.txt.
+            split = kg.train if writer == "gen-toy splits" else kg.valid
+            split.append(data.RawTriple(Unwritable(), "r", "o"))
             write = lambda: toygen.write_toy_kg(kg, tmp_path)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         with pytest.raises(OSError, match="disk full"):

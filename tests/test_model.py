@@ -335,6 +335,26 @@ class TestForward:
                                  np.random.default_rng(4))
         assert_same_bits(got, want)
 
+    @pytest.mark.parametrize("keep_prob", [0.5, 0.8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bool_mask_gives_the_float_mask_bits(self, keep_prob, dtype):
+        # The forward masks each layer's upward copy, and the backward the
+        # gradient coming down, through ``apply_mask``. Both must give the
+        # bits of a float mask ``keep * scale``, the sign of every zero too.
+        rng = np.random.default_rng(6)
+        scale = np.dtype(dtype).type(1 / keep_prob)
+        for _ in range(2):  # a forward output, then a gradient
+            x = rng.normal(size=(40, 7)).astype(dtype)
+            x[::5] = 0.0
+            x[1::5] = -0.0
+            keep = rng.random(x.shape) < keep_prob
+            got = model.apply_mask(x, keep, scale)
+            want = x * np.multiply(keep, scale)
+            assert got.dtype == want.dtype == dtype
+            bits = f"u{want.itemsize}"
+            assert np.array_equal(got.view(bits), want.view(bits))
+            assert np.any((want == 0) & np.signbit(want))  # the case has -0.0 results
+
 
 class TestLogits:
     def test_zero_hidden_gives_biases(self):

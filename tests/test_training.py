@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import equalized_pair, make_params, scalar_lstm_oracle
+from conftest import equalized_pair, loss_and_grad_map, make_params, scalar_lstm_oracle
 from dskg import data, training
 from dskg.data import RawTriple, index_dataset
 from dskg.model import (
@@ -69,7 +69,7 @@ class TestTripleLoss:
         cand_e = np.array([[4, 0, 2]])
         config = small_config(embed_dim=2)
         fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
-        loss, _ = batch_loss_and_grads(params, np.array([[3, 1, 4]]), config)
+        loss, _ = loss_and_grad_map(params, np.array([[3, 1, 4]]), config)
         oracle = self.composed_oracle(params, 3, 1, 4, cand_r[0], cand_e[0], True)
         assert loss == pytest.approx(oracle, abs=1e-12)
 
@@ -78,7 +78,7 @@ class TestTripleLoss:
         cand_e = np.array([[4, 0, 2]])
         config_off = small_config(embed_dim=2, relation_loss=False)
         fix_negatives(cand_e[:, 1:])
-        loss, _ = batch_loss_and_grads(params, np.array([[3, 1, 4]]), config_off)
+        loss, _ = loss_and_grad_map(params, np.array([[3, 1, 4]]), config_off)
         oracle = self.composed_oracle(params, 3, 1, 4, None, cand_e[0], False)
         assert loss == pytest.approx(oracle, abs=1e-12)
 
@@ -86,7 +86,7 @@ class TestTripleLoss:
         params = make_params(num_entities=8, num_relations=6, embed_dim=4)
         rng = np.random.default_rng(0)
         config = small_config()
-        loss, _ = batch_loss_and_grads(params, np.array([[1, 2, 3]]), config, negative_rng=rng)
+        loss, _ = loss_and_grad_map(params, np.array([[1, 2, 3]]), config, negative_rng=rng)
         assert np.isfinite(loss) and loss >= 0.0
 
 
@@ -96,7 +96,7 @@ class TestTripleLoss:
         params.entity_out_w[2, 0] = np.inf  # the true object of the first row
         config = small_config(shared_negatives=shared, entity_negatives=5)
         with pytest.raises(ValueError, match="requires finite scores"):
-            batch_loss_and_grads(
+            loss_and_grad_map(
                 params, np.array([[0, 1, 2], [3, 0, 1]]), config,
                 negative_rng=np.random.default_rng(0),
             )
@@ -109,7 +109,7 @@ class TestNegativeModes:
         self.params = make_params(num_entities=8, num_relations=6, num_layers=2)
         self.batch = np.array([[0, 1, 2], [3, 0, 1], [5, 2, 4], [7, 3, 0]])
         self.config = small_config(num_layers=2, entity_negatives=4, relation_negatives=3)
-        self.shared_loss, self.shared_grads = batch_loss_and_grads(
+        self.shared_loss, self.shared_grads = loss_and_grad_map(
             self.params, self.batch, dataclasses.replace(self.config, shared_negatives=True),
             negative_rng=np.random.default_rng(3),
         )
@@ -123,7 +123,7 @@ class TestNegativeModes:
     def test_shared_step_equals_per_example_step_with_the_shared_set(self, fix_negatives):
         rows = len(self.batch)
         fix_negatives(np.tile(self.neg_e, (rows, 1)), np.tile(self.neg_r, (rows, 1)))
-        loss, grads = batch_loss_and_grads(
+        loss, grads = loss_and_grad_map(
             self.params, self.batch, self.config, negative_rng=np.random.default_rng(3)
         )
         assert loss == self.shared_loss
@@ -135,7 +135,7 @@ class TestNegativeModes:
                     for _, r, o in self.batch]
         fix_negatives(*(negatives[None, :] for pair in row_sets for negatives in pair))
         rows = [
-            batch_loss_and_grads(
+            loss_and_grad_map(
                 self.params, np.array([[s, r, o]]),
                 dataclasses.replace(self.config, entity_negatives=len(neg_e),
                                     relation_negatives=len(neg_r)),
@@ -158,7 +158,7 @@ def finite_difference_max_error(params, batch, config, coords_per_tensor=None,
     """
     def loss_and_grads():
         rng = None if negative_seed is None else np.random.default_rng(negative_seed)
-        return batch_loss_and_grads(params, batch, config, negative_rng=rng)
+        return loss_and_grad_map(params, batch, config, negative_rng=rng)
 
     _, grads = loss_and_grads()
     step = 1e-5
@@ -228,7 +228,7 @@ class TestBackward:
         fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
         for arch in ("dskg", "shared"):
             params = make_params(num_layers=2, arch=arch)
-            _, grads = batch_loss_and_grads(params, batch, small_config(num_layers=2, arch=arch))
+            _, grads = loss_and_grad_map(params, batch, small_config(num_layers=2, arch=arch))
             shapes = tensor_shapes(6, 4, 4, 2, arch)
             assert [(n, t.shape) for n, t in named_tensors(grads)] == list(shapes.items())
             assert all(np.all(np.isfinite(t)) for _, t in named_tensors(grads))
@@ -239,8 +239,8 @@ class TestBackward:
         cand_r = np.array([[1, 0, 3], [0, 2, 1]])
         fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
         dskg, shared = equalized_pair(make_params(num_layers=2))
-        _, g_dskg = batch_loss_and_grads(dskg, batch, small_config(num_layers=2))
-        _, g_shared = batch_loss_and_grads(shared, batch, small_config(num_layers=2, arch="shared"))
+        _, g_dskg = loss_and_grad_map(dskg, batch, small_config(num_layers=2))
+        _, g_shared = loss_and_grad_map(shared, batch, small_config(num_layers=2, arch="shared"))
         for layer in range(2):
             for field in ("w_x", "w_h", "b"):
                 # Step 1 runs from the zero state, so only step 2 adds to w_h.
@@ -259,7 +259,7 @@ class TestBackward:
         params = init_params(tiny_dataset.vocab.num_entities, tiny_dataset.vocab.num_relations,
                              config.embed_dim, config.num_layers, arch=config.arch,
                              seed=config.seed)
-        _, grads = batch_loss_and_grads(
+        _, grads = loss_and_grad_map(
             params, tiny_dataset.train, config,
             negative_rng=np.random.default_rng(1), dropout_rng=np.random.default_rng(2),
         )
@@ -274,7 +274,7 @@ class TestBackward:
         cand_e = np.array([[2, 0, 4]])
         cand_r = np.array([[1, 0, 3]])
         fix_negatives(cand_e[:, 1:], cand_r[:, 1:])
-        _, grads = batch_loss_and_grads(params, batch, small_config())
+        _, grads = loss_and_grad_map(params, batch, small_config())
         for _, grad in named_tensors(grads):
             assert np.max(np.abs(grad)) < 1e-9
 
@@ -282,32 +282,56 @@ class TestBackward:
         params = make_params(num_entities=6, num_relations=4)
         batch = np.array([[0, 1, 2]])
         fix_negatives(np.array([[3, 4]]), np.array([[0, 2]]))
-        _, grads = batch_loss_and_grads(params, batch, small_config())
+        _, grads = loss_and_grad_map(params, batch, small_config())
         assert np.all(grads.entity_embed[5] == 0)
         assert np.all(grads.relation_embed[3] == 0)
         assert np.any(grads.entity_embed[0] != 0)
 
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["bias", "rows"])
+    def test_row_grad_equals_add_at_into_the_whole_table(self, shape):
+        # Skewed ids: one id repeated many times, then the distinct extra ids.
+        rng = np.random.default_rng(8)
+        ids = np.array([4] * 50 + [0, 7, 4, 2, 7])
+        more_ids = np.array([9, 4, 1])
+        d_rows = rng.normal(size=(len(ids), *shape)).astype(np.float32)
+        more_rows = rng.normal(size=(len(more_ids), *shape)).astype(np.float32)
+        table = np.zeros((10, *shape), dtype=np.float32)
+        np.add.at(table, ids, d_rows)
+        table[more_ids] += more_rows
+        grad, rows = training._row_grad(ids, d_rows, more_ids, more_rows)
+        assert list(rows) == [0, 1, 2, 4, 7, 9]
+        whole = np.zeros_like(table)
+        whole[rows] = grad
+        assert whole.tobytes() == table.tobytes()
+
     def test_empty_batch_rejected(self):
         params = make_params()
         with pytest.raises(ValueError, match="non-empty batch"):
-            batch_loss_and_grads(params, np.empty((0, 3), dtype=int), small_config())
+            loss_and_grad_map(params, np.empty((0, 3), dtype=int), small_config())
+
+
+def adam_over(state, learning_rate, grads):
+    """One optimizer step as ``train()`` takes it: count the step, then run
+    ``adam_step`` on each tensor of a whole gradient map."""
+    state.step += 1
+    for name, grad in named_tensors(grads):
+        adam_step(state, learning_rate, name, grad)
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         params = init_params(4, 3, 3, 1, seed=0, dtype=np.float64)
         before = {name: t.copy() for name, t in named_tensors(params)}
-        state = fresh_state(params, grads=params.zeros_like())
-        adam_step(state, learning_rate=0.1)
+        adam_over(fresh_state(params), 0.1, params.zeros_like())
         for name, tensor in named_tensors(params):
             assert np.array_equal(tensor, before[name])
 
     def test_single_step_closed_form(self):
         params = init_params(1, 1, 1, 1, seed=0, dtype=np.float64)
-        grads = params.zeros_like()
-        grads.entity_out_b[0] = 1.0
+        grad = np.zeros_like(params.entity_out_b)
+        grad[0] = 1.0
         before = params.entity_out_b[0].copy()
-        adam_step(fresh_state(params, grads=grads), learning_rate=0.001)
+        adam_step(fresh_state(params, step=1), 0.001, "entity_out_b", grad)
         # m_hat = 1, v_hat = 1 after bias correction
         expected = before - 0.001 * 1.0 / (1.0 + 1e-8)
         assert params.entity_out_b[0] == pytest.approx(expected, abs=1e-15)
@@ -317,12 +341,12 @@ class TestAdam:
         grads = params.zeros_like()
         for _, g in named_tensors(grads):
             g[...] = 1.0
-        state = fresh_state(params, grads=grads)
+        state = fresh_state(params)
         rate = 0.05
         previous = None
         for _ in range(1000):
             previous = params.entity_embed.copy()
-            adam_step(state, learning_rate=rate)
+            adam_over(state, rate, grads)
         delta = params.entity_embed - previous
         assert np.allclose(np.abs(delta), rate, atol=1e-3 * rate + 1e-3)
         assert np.all(delta < 0)
@@ -343,11 +367,11 @@ class TestAdam:
         state = fresh_state(params)
         rate = 0.01
         for step in range(1, 6):
-            grads = state.grads = ModelParams(
+            grads = ModelParams(
                 {name: rng.normal(size=t.shape).astype(dtype) for name, t in named_tensors(params)},
                 "dskg", 1,
             )
-            adam_step(state, learning_rate=rate)
+            adam_over(state, rate, grads)
             beta1, beta2 = training.ADAM_BETA1, training.ADAM_BETA2
             correct1 = 1.0 - beta1 ** step
             correct2 = 1.0 - beta2 ** step
@@ -363,6 +387,48 @@ class TestAdam:
             assert np.array_equal(state.first.tensors[name], first[name])
             assert np.array_equal(state.second.tensors[name], second[name])
         assert state.step == 5
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_update_equals_the_whole_tensor_update(self, dtype):
+        # Rows straddle block edges; every other row's gradient is zero, and
+        # some given gradient entries are -0.0.
+        rng = np.random.default_rng(6)
+        width = 3
+        size = 3 * (ADAM_BLOCK // width) + 17
+        start = {"entity_embed": rng.normal(size=(size, width)).astype(dtype),
+                 "entity_out_b": rng.normal(size=size).astype(dtype)}
+        whole = fresh_state(ModelParams({n: t.copy() for n, t in start.items()}, "dskg", 1))
+        sparse = fresh_state(ModelParams({n: t.copy() for n, t in start.items()}, "dskg", 1))
+        for _ in range(4):
+            whole.step += 1
+            sparse.step += 1
+            for name, tensor in start.items():
+                rows = np.unique(np.concatenate([
+                    rng.choice(size, 40), [0, ADAM_BLOCK // width - 1, ADAM_BLOCK // width, size - 1],
+                ]))
+                grad = rng.normal(size=(len(rows), *tensor.shape[1:])).astype(dtype)
+                grad[::7] = -0.0
+                dense = np.zeros_like(tensor)
+                dense[rows] = grad
+                adam_step(whole, 0.01, name, dense)
+                adam_step(sparse, 0.01, name, grad, rows)
+        for kind in ("params", "first", "second"):
+            for name in start:
+                got = getattr(sparse, kind).tensors[name]
+                assert got.tobytes() == getattr(whole, kind).tensors[name].tobytes(), (kind, name)
+
+    def test_non_finite_gradient_raises_before_any_update(self):
+        params = init_params(4, 3, 3, 1, seed=0, dtype=np.float64)
+        state = fresh_state(params, step=1)
+        before = [m.copy() for m in (state.params, state.first, state.second)]
+        grad = np.ones_like(params.entity_out_b)
+        grad[2] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite gradient in entity_out_b"):
+            adam_step(state, 0.1, "entity_out_b", grad)
+        for kept, now in zip(before, (state.params, state.first, state.second)):
+            for name, tensor in named_tensors(now):
+                assert np.array_equal(tensor, kept.tensors[name]), name
 
 
 def memorizable_kg(n_triples=50, n_relations=5):
@@ -445,22 +511,16 @@ class TestTrainLoop:
     @pytest.mark.parametrize("relation_loss", [True, False])
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("arch", ["dskg", "shared"])
-    def test_kept_gradient_map_equals_a_fresh_map_per_step(
-        self, tiny_dataset, monkeypatch, arch, shared, relation_loss
+    def test_train_equals_adam_over_whole_gradient_maps(
+        self, tiny_dataset, arch, shared, relation_loss
     ):
-        # train() refills one gradient map; a tensor its zero-fill missed
-        # would carry the previous step's gradient into the next update.
+        # train() updates each tensor as soon as the backward hands its
+        # gradient over; the rest of the backward must not read the update.
+        # The reference collects a step's whole map first, then runs Adam.
         config = small_config(
             arch=arch, num_layers=2, shared_negatives=shared, relation_loss=relation_loss, epochs=3,
             eval_interval=4, keep_prob=0.5, precision="standard", seed=5,
         )
-        states = []
-
-        def spy(state, learning_rate):
-            states.append(state)
-            adam_step(state, learning_rate)
-
-        monkeypatch.setattr(training, "adam_step", spy)
         result = train(tiny_dataset, config)
 
         params = init_params(tiny_dataset.vocab.num_entities, tiny_dataset.vocab.num_relations,
@@ -472,20 +532,20 @@ class TestTrainLoop:
             dropout_rng = np.random.default_rng([config.seed, 3, epoch])
             for batch in data.batch_iterator(tiny_dataset.train, config.batch_size,
                                              seed=[config.seed, 1, epoch]):
-                _, state.grads = batch_loss_and_grads(params, batch, config,
-                                                      negative_rng=negative_rng,
-                                                      dropout_rng=dropout_rng)
-                adam_step(state, config.learning_rate)
-        assert len(states) == state.step == result.step == 9  # 3 steps of 4, 4 and 2 rows
-        assert all(kept is result for kept in states)
+                _, grads = loss_and_grad_map(params, batch, config, negative_rng=negative_rng,
+                                             dropout_rng=dropout_rng)
+                adam_over(state, config.learning_rate, grads)
+        assert state.step == result.step == 9  # 3 steps of 4, 4 and 2 rows
         for name, tensor in named_tensors(params):
             assert np.array_equal(result.params.tensors[name], tensor), name
             assert np.array_equal(result.first.tensors[name], state.first.tensors[name]), name
             assert np.array_equal(result.second.tensors[name], state.second.tensors[name]), name
 
-    def test_a_step_holds_one_gradient_map(self, monkeypatch):
-        # Many entities and a small batch, so the gradient map dwarfs the
-        # step's caches. Params and both Adam moments are three more maps.
+    def test_a_step_holds_no_gradient_map(self, monkeypatch):
+        # Many entities and a small batch, so the parameter maps dwarf the
+        # step's caches. Params and both Adam moments are three maps. A step
+        # holds one gradient at a time (a table's only at the rows the batch
+        # touched) and its caches; a whole gradient map would not fit.
         num_entities = 20_000
         raw = [RawTriple(f"e{i}", f"r{i % 4}", f"e{(i + 1) % num_entities}")
                for i in range(num_entities)]
@@ -511,25 +571,21 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert len(peaks) == 2
         held = peaks[1] - 3 * map_bytes
-        assert held < 1.5 * map_bytes, (held, map_bytes)
+        assert held < map_bytes, (held, map_bytes)
 
-    def test_the_first_step_builds_the_gradient_map(self, tiny_dataset, monkeypatch):
-        # A map allocated before the first step holds the same bytes but
-        # lays the heap out worse; only the benchmark's speed shows that.
-        given, returned = [], []
+    def test_a_libc_without_mallopt_trains_the_same(self, tiny_dataset, monkeypatch):
+        config = small_config(epochs=2, keep_prob=0.5, precision="standard")
+        want = train(tiny_dataset, config)
 
-        def spy(*args, grads=None, **kwargs):
-            given.append(grads)
-            out = batch_loss_and_grads(*args, grads=grads, **kwargs)
-            returned.append(out[1])
-            return out
+        def no_libc(name):
+            raise OSError("no C library")
 
-        monkeypatch.setattr(training, "batch_loss_and_grads", spy)
-        config = small_config(epochs=3, batch_size=len(tiny_dataset.train), precision="standard")
-        state = train(tiny_dataset, config)
-        assert len(given) == state.step == 3  # one batch per epoch
-        assert given[0] is None
-        assert all(grads is returned[0] for grads in given[1:] + returned + [state.grads])
+        monkeypatch.setattr(training.ctypes, "CDLL", no_libc)
+        got = train(tiny_dataset, config)
+        assert [line.split("\t")[:4] for line in got.log] == [
+            line.split("\t")[:4] for line in want.log]
+        for name, tensor in named_tensors(want.params):
+            assert np.array_equal(got.params.tensors[name], tensor), name
 
     def test_log_file_append(self, tiny_dataset, tmp_path):
         config = small_config(epochs=2, precision="standard")
@@ -560,11 +616,11 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("arch", ["dskg", "shared"])
     def test_returned_state_accounts(self, tiny_dataset, monkeypatch, arch):
-        steps = []
+        calls = []
 
-        def counted(state, learning_rate):
-            steps.append(state.step)
-            adam_step(state, learning_rate)
+        def counted(state, learning_rate, name, grad, rows=None):
+            calls.append((state.step, name))
+            adam_step(state, learning_rate, name, grad, rows)
 
         monkeypatch.setattr(training, "adam_step", counted)
         config = small_config(arch=arch, num_layers=2, epochs=10, patience=2,
@@ -573,11 +629,13 @@ class TestTrainLoop:
         # The first evaluation improves, the next two do not: patience ends epoch 3.
         assert state.epoch == len(state.log) == 3
         per_epoch = math.ceil(len(tiny_dataset.train) / config.batch_size)
-        assert state.step == len(steps) == 3 * per_epoch
-        assert steps == list(range(3 * per_epoch))
+        assert state.step == 3 * per_epoch
+        # Each step updates every tensor exactly once.
+        assert sorted(calls) == sorted((step, name) for step in range(1, state.step + 1)
+                                       for name in state.params.tensors)
         assert (state.best_val_mrr, state.bad_evals) == (50.0, 2)
         layout = [(name, t.shape, t.dtype) for name, t in named_tensors(state.params)]
-        for kept in (state.first, state.second, state.grads, state.best):
+        for kept in (state.first, state.second, state.best):
             assert [(name, t.shape, t.dtype) for name, t in named_tensors(kept)] == layout
 
     def test_nan_validation_mrr_is_never_the_best(self, tiny_dataset, tmp_path):
@@ -627,30 +685,35 @@ class TestTypePurity:
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(learning_rate=0.0),
-            dict(learning_rate=float("nan")),
-            dict(learning_rate=float("inf")),
-            dict(keep_prob=0.0),
-            dict(keep_prob=1.5),
-            dict(arch="deep"),
-            dict(precision="float16"),
-            dict(patience=0),
-            dict(eval_interval=0),
-            dict(embed_dim=0),
-            dict(num_layers=0),
-            dict(num_layers=5),
+            (dict(learning_rate=0.0), "learning_rate must be positive and finite, got 0.0"),
+            (dict(learning_rate=float("nan")), "learning_rate must be positive and finite, got nan"),
+            (dict(learning_rate=float("inf")), "learning_rate must be positive and finite, got inf"),
+            (dict(keep_prob=0.0), "keep_prob must be in (0, 1], got 0.0"),
+            (dict(keep_prob=1.5), "keep_prob must be in (0, 1], got 1.5"),
+            (dict(arch="deep"), "arch must be one of ('dskg', 'shared'), got 'deep'"),
+            (dict(precision="float16"),
+             "precision must be one of ('standard', 'high'), got 'float16'"),
+            (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+            (dict(epochs=-1), "epochs must be >= 0, got -1"),
+            (dict(patience=0), "patience must be >= 1, got 0"),
+            (dict(eval_interval=0), "eval_interval must be >= 1, got 0"),
+            (dict(embed_dim=0), "embed_dim must be >= 1, got 0"),
+            (dict(num_layers=0), "layers must be in 1..4, got 0"),
+            (dict(num_layers=5), "layers must be in 1..4, got 5"),
         ],
     )
-    def test_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_bad_values_name_the_option_and_the_value(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
             TrainConfig(**kwargs)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("arch", ["shared-2", "shared-4"])
     def test_arch_names_hold_no_layer_count(self, arch):
-        with pytest.raises(ValueError, match=r"^arch must be one of \('dskg', 'shared'\)$"):
+        with pytest.raises(ValueError) as raised:
             TrainConfig(arch=arch)
+        assert str(raised.value) == f"arch must be one of ('dskg', 'shared'), got {arch!r}"
 
     @pytest.mark.parametrize("arch", ["dskg", "shared"])
     def test_num_layers_is_the_layer_count(self, tiny_dataset, arch):
