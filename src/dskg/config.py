@@ -10,7 +10,6 @@ it ran with next to its outputs.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 from .data import atomic_write
 
@@ -18,8 +17,10 @@ ENV_PREFIX = "DSKG_"
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read ``key = value`` lines; blank lines and ``#`` comments are ignored."""
+    """Read ``key = value`` lines; blank lines and ``#`` comments are ignored.
+    A key given twice is a ValueError naming both lines."""
     options: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -27,8 +28,11 @@ def parse_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            options[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in stripped.partition("="))
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            first_line[key] = lineno
+            options[key] = value
     return options
 
 
@@ -84,8 +88,6 @@ def resolve_options(
 
 
 def write_resolved(options: dict, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as buf:
         for key in sorted(options):
             buf.write(f"{key}={options[key]}\n".encode())

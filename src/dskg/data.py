@@ -12,12 +12,18 @@ Each lexicon is one ``Counter`` read in ``most_common`` order, whose stable
 sort keeps first appearance among equal counts. The triple keys are
 deduplicated by one sort; a (subject, relation) pair's known answers are the
 one run of keys that starts with its pair key, found by binary search.
+
+The dataset cache, like the checkpoint, is a :func:`write_container` file:
+magic, version byte, payload and a CRC-32 trailer, checked whole on load.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import struct
+import zlib
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,8 +36,6 @@ import numpy as np
 # parse_triples rejects relation fields ending with it, so the reverse labels
 # can never collide with labels read from disk.
 REVERSE_MARKER = "^-1"
-
-CACHE_MAGIC = b"DSKGDAT1"
 
 
 class TripleParseError(ValueError):
@@ -383,36 +387,6 @@ def dataset_stats(dataset: IndexedDataset) -> dict:
     }
 
 
-def _write_str(buf, text: str):
-    raw = text.encode("utf-8")
-    buf.write(struct.pack("<I", len(raw)))
-    buf.write(raw)
-
-
-def read_exact(buf, size: int, truncated: str = "truncated dataset cache") -> bytes:
-    """Read ``size`` bytes of an open binary file, or raise ValueError
-    ``<file>: <truncated>``. The size is checked against the bytes left in
-    the file before the read, so a damaged size field is a truncation rather
-    than a request for more memory than the file holds."""
-    if size > os.fstat(buf.fileno()).st_size - buf.tell():
-        raise ValueError(f"{buf.name}: {truncated}")
-    return buf.read(size)
-
-
-def _read_str(buf) -> str:
-    (length,) = struct.unpack("<I", read_exact(buf, 4))
-    return read_exact(buf, length).decode("utf-8")
-
-
-def _write_array(buf, array: np.ndarray, dtype: str):
-    buf.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
-
-
-def _read_array(buf, count: int, dtype: str) -> np.ndarray:
-    itemsize = np.dtype(dtype).itemsize
-    return np.frombuffer(read_exact(buf, count * itemsize), dtype=dtype).copy()
-
-
 @contextmanager
 def atomic_write(path):
     """Open a temporary file next to ``path`` for binary writing, and make it
@@ -429,55 +403,93 @@ def atomic_write(path):
         raise
 
 
-def save_dataset(dataset: IndexedDataset, path):
-    """Serialize vocabulary and raw splits to the versioned binary cache,
-    atomically."""
-    vocab = dataset.vocab
+def write_container(path, magic: bytes, version: int, parts: Iterable):
+    """Write a container file through :func:`atomic_write`: ``magic``, the
+    ``version`` byte, the bytes of each part (bytes or a C-contiguous array)
+    in order, then a little-endian CRC-32 of everything before it."""
     with atomic_write(path) as buf:
-        buf.write(CACHE_MAGIC)
-        buf.write(
-            struct.pack(
-                "<6I",
-                vocab.num_entities,
-                vocab.num_relations,
-                vocab.num_forward_relations,
-                len(dataset.raw_train),
-                len(dataset.valid),
-                len(dataset.test),
-            )
-        )
-        for label in vocab.entity_labels:
-            _write_str(buf, label)
-        _write_array(buf, vocab.entity_freqs, "<u8")
-        for label in vocab.relation_labels:
-            _write_str(buf, label)
-        _write_array(buf, vocab.relation_freqs, "<u8")
-        _write_array(buf, vocab.reverse_of, "<u4")
-        _write_array(buf, dataset.raw_train, "<u4")
-        _write_array(buf, dataset.valid, "<u4")
-        _write_array(buf, dataset.test, "<u4")
+        crc = 0
+        for part in itertools.chain((magic, bytes([version])), parts):
+            crc = zlib.crc32(part, crc)
+            buf.write(part)
+        buf.write(crc.to_bytes(4, "little"))
+
+
+class ContainerReader:
+    """A container file's payload (see :func:`write_container`), handed out
+    front to back in bounds-checked slices. The file is read once; its magic,
+    then version, then CRC are checked before any part is parsed. Every
+    failure is a ValueError naming the file and its ``kind``."""
+
+    def __init__(self, path, magic: bytes, version: int, kind: str):
+        self.path, self.kind = path, kind
+        with open(path, "rb") as handle:
+            blob = bytearray(os.fstat(handle.fileno()).st_size)
+            view = memoryview(blob)[: handle.readinto(blob)]
+        head = bytes(view[: len(magic)])
+        if head != magic[: len(view)]:
+            raise ValueError(f"{path}: not a {kind} (bad magic {head!r})")
+        if len(view) < len(magic) + 1 + 4:
+            raise ValueError(f"{path}: truncated {kind}")
+        if view[len(magic)] != version:
+            raise ValueError(f"{path}: unsupported {kind} version {view[len(magic)]}")
+        if zlib.crc32(view[:-4]) != int.from_bytes(view[-4:], "little"):
+            raise ValueError(f"{path}: {kind} checksum mismatch")
+        self._payload = view[len(magic) + 1 : -4]
+        self._at = 0
+
+    def take(self, size: int) -> memoryview:
+        end = self._at + size
+        if end > len(self._payload):
+            raise ValueError(f"{self.path}: truncated {self.kind}")
+        part, self._at = self._payload[self._at : end], end
+        return part
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
+
+    def array(self, dtype: str, shape: tuple) -> np.ndarray:
+        """The next ``shape`` items of ``dtype``: a writable view, not a copy."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        return np.frombuffer(self.take(size), dtype=dtype).reshape(shape)
+
+    def finish(self):
+        """Raise unless every byte of the payload has been taken."""
+        if self._at != len(self._payload):
+            raise ValueError(f"{self.path}: trailing bytes after the {self.kind}'s last field")
+
+
+CACHE_MAGIC = b"DSKGDATA"
+CACHE_VERSION = 2
+# Entities, relations (with reverses), and the train, valid and test triple counts.
+_CACHE_HEADER = struct.Struct("<5I")
+_LABEL_LENGTH = struct.Struct("<I")
+
+
+def _label_bytes(labels: list[str]) -> bytes:
+    return b"".join(_LABEL_LENGTH.pack(len(raw)) + raw for raw in map(str.encode, labels))
+
+
+def save_dataset(dataset: IndexedDataset, path):
+    """Write a dataset cache atomically: a container holding the counts, each
+    lexicon's labels (length-prefixed UTF-8) and frequencies, and the raw splits."""
+    vocab = dataset.vocab
+    splits = (dataset.raw_train, dataset.valid, dataset.test)
+    write_container(path, CACHE_MAGIC, CACHE_VERSION, [
+        _CACHE_HEADER.pack(vocab.num_entities, vocab.num_relations, *map(len, splits)),
+        _label_bytes(vocab.entity_labels), vocab.entity_freqs.astype("<u8"),
+        _label_bytes(vocab.relation_labels), vocab.relation_freqs.astype("<u8"),
+        *(split.astype("<u4") for split in splits),
+    ])
 
 
 def load_dataset(path) -> IndexedDataset:
-    with open(path, "rb") as buf:
-        magic = buf.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a dataset cache (bad magic {magic!r})")
-        num_entities, num_relations, num_forward, n_train, n_valid, n_test = struct.unpack(
-            "<6I", read_exact(buf, 24)
-        )
-        entity_labels = [_read_str(buf) for _ in range(num_entities)]
-        entity_freqs = _read_array(buf, num_entities, "<u8").astype(np.int64)
-        relation_labels = [_read_str(buf) for _ in range(num_relations)]
-        relation_freqs = _read_array(buf, num_relations, "<u8").astype(np.int64)
-        reverse_of = _read_array(buf, num_relations, "<u4")
-        train = _read_array(buf, n_train * 3, "<u4").astype(np.int32).reshape(-1, 3)
-        valid = _read_array(buf, n_valid * 3, "<u4").astype(np.int32).reshape(-1, 3)
-        test = _read_array(buf, n_test * 3, "<u4").astype(np.int32).reshape(-1, 3)
-        if buf.read(1):
-            raise ValueError(f"{path}: trailing bytes after the test split")
-
-    vocab = Vocabulary(entity_labels, entity_freqs, relation_labels, relation_freqs)
-    if num_forward != vocab.num_forward_relations or np.any(reverse_of != vocab.reverse_of):
-        raise ValueError(f"{path}: stored reverse map disagrees with the relation labels")
-    return IndexedDataset(vocab, train, valid, test)
+    reader = ContainerReader(path, CACHE_MAGIC, CACHE_VERSION, "dataset cache")
+    num_entities, num_relations, *split_sizes = reader.unpack(_CACHE_HEADER)
+    lexicons = []
+    for count in (num_entities, num_relations):
+        labels = [str(reader.take(*reader.unpack(_LABEL_LENGTH)), "utf-8") for _ in range(count)]
+        lexicons += [labels, reader.array("<u8", (count,)).astype(np.int64)]
+    splits = [reader.array("<u4", (size, 3)).astype(np.int32) for size in split_sizes]
+    reader.finish()
+    return IndexedDataset(Vocabulary(*lexicons), *splits)

@@ -13,20 +13,21 @@ The zero state of step 1 is passed as ``None``, and :func:`lstm_forward` and
 :func:`lstm_backward` skip the matmuls against it. A stack run only at step 1
 (``entity_cells`` in "dskg") therefore stores no recurrent weights ``w_h``.
 
-Checkpoint layout (version 3): magic ``DSKGCKPT``, version byte, header
-(num_entities, num_relations, embed_dim, num_layers as little-endian uint32,
-architecture byte), then every tensor from :func:`named_tensors` in order as
-little-endian float32. Only the tensors the architecture runs are stored.
+A checkpoint is a :func:`dskg.data.write_container` file, magic ``DSKGCKPT``
+and version 4: the ``_HEADER`` sizes, then every tensor from
+:func:`named_tensors` in order as little-endian float32. Only the tensors the
+architecture runs are stored.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write, read_exact
+from .data import ContainerReader, write_container
 
 ARCH_DSKG = "dskg"
 ARCH_SHARED = "shared"
@@ -39,9 +40,10 @@ STEP_STACKS = {
 }
 
 CHECKPOINT_MAGIC = b"DSKGCKPT"
-CHECKPOINT_VERSION = 3
-# After the magic: version, entities, relations, embed dim, layers, architecture code.
-_HEADER = struct.Struct("<B4IB")
+CHECKPOINT_VERSION = 4
+# Entities, relations, embed dim, layers, architecture code. The pad bytes put
+# the first tensor at byte 28, so each tensor loads as an aligned float32 view.
+_HEADER = struct.Struct("<4IB2x")
 
 MAX_LAYERS = 4
 
@@ -415,43 +417,24 @@ def logits(
 def save_checkpoint(params: ModelParams, path):
     """Write a checkpoint atomically, so a failed write leaves any previous
     checkpoint intact."""
-    with atomic_write(path) as buf:
-        buf.write(CHECKPOINT_MAGIC)
-        buf.write(
-            _HEADER.pack(
-                CHECKPOINT_VERSION,
-                params.num_entities,
-                params.num_relations,
-                params.embed_dim,
-                params.num_layers,
-                _ARCH_CODES[params.arch],
-            )
-        )
-        for _, tensor in named_tensors(params):
-            buf.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+    header = _HEADER.pack(params.num_entities, params.num_relations, params.embed_dim,
+                          params.num_layers, _ARCH_CODES[params.arch])
+    tensors = (np.ascontiguousarray(tensor, dtype="<f4") for _, tensor in named_tensors(params))
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, itertools.chain([header], tensors))
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as buf:
-        magic = buf.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        version, num_entities, num_relations, embed_dim, num_layers, arch_code = (
-            _HEADER.unpack(read_exact(buf, _HEADER.size, "truncated checkpoint header"))
-        )
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        if arch_code not in _ARCH_NAMES:
-            raise ValueError(f"{path}: unknown architecture code {arch_code}")
-        arch = _ARCH_NAMES[arch_code]
-        try:
-            shapes = tensor_shapes(num_entities, num_relations, embed_dim, num_layers, arch)
-        except ValueError as exc:
-            raise ValueError(f"{path}: checkpoint header {exc}") from None
-        tensors = {}
-        for name, shape in shapes.items():
-            raw = read_exact(buf, 4 * int(np.prod(shape)), f"truncated checkpoint at tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-        if buf.read(1):
-            raise ValueError(f"{path}: trailing bytes after last tensor")
+    """Read a checkpoint; its tensors are writable views of the file's bytes."""
+    reader = ContainerReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    num_entities, num_relations, embed_dim, num_layers, arch_code = reader.unpack(_HEADER)
+    if arch_code not in _ARCH_NAMES:
+        raise ValueError(f"{path}: unknown architecture code {arch_code}")
+    arch = _ARCH_NAMES[arch_code]
+    try:
+        shapes = tensor_shapes(num_entities, num_relations, embed_dim, num_layers, arch)
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint header {exc}") from None
+    tensors = {name: reader.array("<f4", shape).astype(np.float32, copy=False)
+               for name, shape in shapes.items()}
+    reader.finish()
     return ModelParams(tensors, arch, num_layers)

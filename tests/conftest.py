@@ -154,6 +154,40 @@ def equalized_pair(params):
     return dskg, shared
 
 
+def container_payload(path, magic: bytes) -> bytearray:
+    """The payload of a container file: its bytes between the version byte and
+    the CRC. Tests that damage a field rewrite it with ``data.write_container``,
+    so that the damage passes the CRC and reaches the check it pins."""
+    return bytearray(path.read_bytes()[len(magic) + 1 : -4])
+
+
+def mutations(blob: bytes):
+    """``(what, damaged)`` for every truncation of ``blob``, and for each of its
+    bytes set to 0x00 and to 0xFF and flipped at bit 0 and at bit 7 (each
+    distinct new value once; a value equal to the old byte is no mutation)."""
+    for end in range(len(blob)):
+        yield f"truncated to {end} bytes", blob[:end]
+    for at, byte in enumerate(blob):
+        for new in sorted({0x00, 0xFF, byte ^ 0x01, byte ^ 0x80} - {byte}):
+            yield f"byte {at} {byte:#04x} -> {new:#04x}", blob[:at] + bytes([new]) + blob[at + 1 :]
+
+
+def mutation_failures(path, load) -> list[str]:
+    """Write each of :func:`mutations` of the file at ``path`` over it and
+    ``load`` it. Returns one line per mutation that loaded or raised a
+    ValueError not naming the file; any other exception propagates."""
+    failures = []
+    for what, blob in mutations(path.read_bytes()):
+        path.write_bytes(blob)
+        try:
+            load(path)
+            failures.append(f"{what}: loaded")
+        except ValueError as exc:
+            if not str(exc).startswith(f"{path}: "):
+                failures.append(f"{what}: {exc}")
+    return failures
+
+
 @pytest.fixture
 def fix_negatives(monkeypatch):
     """``fix_negatives(*sets)`` makes every training step draw ``sets``.

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from conftest import container_payload, mutations
 from dskg import beam, cli, data, evaluation, model, toygen, training
 from dskg.config import parse_config_file, resolve_options, write_resolved
 
@@ -64,6 +66,19 @@ class TestPrepare:
         assert len(dataset.raw_train) == 5
         assert (out / "stats.txt").exists()
         assert (out / "config.resolved").exists()
+
+    def test_default_toy_cache_bytes_are_pinned(self, tmp_path, capsys):
+        # The cache of gen-toy's default graph, indexed by prepare: no floats, no BLAS.
+        toy, prep = tmp_path / "toy", tmp_path / "prep"
+        assert run_cli(capsys, "gen-toy", "--out", str(toy))[0] == 0
+        code, _, _ = run_cli(
+            capsys, "prepare", "--train", str(toy / "train.txt"),
+            "--valid", str(toy / "valid.txt"), "--test", str(toy / "test.txt"), "--out", str(prep),
+        )
+        assert code == 0
+        assert hashlib.sha256((prep / "dataset.dskg").read_bytes()).hexdigest() == (
+            "7d8afd6a633f36847241991a3307d460db5f7dbbd65164a306009ecef22e157d"
+        )
 
     def test_missing_file_is_one_line_error(self, tiny_dir, tmp_path, capsys):
         code, _, err = run_cli(
@@ -281,13 +296,13 @@ class TestEval:
     @pytest.mark.parametrize("damage", ["short_header", "unknown_arch"])
     def test_damaged_checkpoint_is_one_line_value_error(self, trained, tmp_path, capsys, damage):
         dataset, checkpoint = trained
-        blob = bytearray(checkpoint.read_bytes())
-        if damage == "short_header":
-            blob = blob[:20]
-        else:
-            blob[len(model.CHECKPOINT_MAGIC) + model._HEADER.size - 1] = 7
         bad = tmp_path / "bad.dskg"
-        bad.write_bytes(bytes(blob))
+        if damage == "short_header":
+            bad.write_bytes(checkpoint.read_bytes()[:20])
+        else:
+            payload = container_payload(checkpoint, model.CHECKPOINT_MAGIC)
+            payload[16] = 7  # the architecture code
+            data.write_container(bad, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION, [payload])
         code, _, err = run_cli(
             capsys, "eval", "--checkpoint", str(bad), "--data", str(dataset),
             "--out", str(tmp_path / "r"),
@@ -298,18 +313,30 @@ class TestEval:
         assert lines[0].startswith("error\tValueError\t")
         assert str(bad) in lines[0]
 
+    def test_every_checkpoint_mutation_is_one_line_value_error(self, trained, tmp_path,
+                                                               capsys):
+        dataset, _ = trained
+        checkpoint, bad, out = tmp_path / "tiny.dskg", tmp_path / "bad.dskg", tmp_path / "r"
+        model.save_checkpoint(model.init_params(3, 4, 1, 1, seed=0), checkpoint)
+        for what, blob in mutations(checkpoint.read_bytes()):
+            bad.write_bytes(blob)
+            code, stdout, err = run_cli(
+                capsys, "eval", "--checkpoint", str(bad), "--data", str(dataset),
+                "--out", str(out),
+            )
+            assert (code, stdout) == (1, ""), what
+            lines = err.strip().split("\n")
+            assert len(lines) == 1 and lines[0].startswith(f"error\tValueError\t{bad}: "), what
+        assert not out.exists()
 
     def test_checkpoint_header_no_model_has_is_one_line_value_error(
         self, trained, tmp_path, capsys
     ):
         dataset, checkpoint = trained
-        blob = bytearray(checkpoint.read_bytes())
-        start = len(model.CHECKPOINT_MAGIC)
-        header = list(model._HEADER.unpack_from(blob, start))
-        header[4] = 0  # num_layers
-        model._HEADER.pack_into(blob, start, *header)
+        payload = container_payload(checkpoint, model.CHECKPOINT_MAGIC)
+        payload[12:16] = (0).to_bytes(4, "little")  # num_layers
         bad = tmp_path / "no_layers.dskg"
-        bad.write_bytes(bytes(blob))
+        data.write_container(bad, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION, [payload])
         out = tmp_path / "r"
         code, _, err = run_cli(
             capsys, "eval", "--checkpoint", str(bad), "--data", str(dataset), "--out", str(out),
@@ -325,20 +352,17 @@ class TestEval:
         self, trained, tmp_path, capsys
     ):
         dataset, checkpoint = trained
-        blob = bytearray(checkpoint.read_bytes())
-        start = len(model.CHECKPOINT_MAGIC)
-        header = list(model._HEADER.unpack_from(blob, start))
-        header[1] = 2**31  # num_entities
-        model._HEADER.pack_into(blob, start, *header)
+        payload = container_payload(checkpoint, model.CHECKPOINT_MAGIC)
+        payload[0:4] = (2**31).to_bytes(4, "little")  # num_entities
         bad = tmp_path / "huge.dskg"
-        bad.write_bytes(bytes(blob))
+        data.write_container(bad, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION, [payload])
         out = tmp_path / "r"
         code, _, err = run_cli(
             capsys, "eval", "--checkpoint", str(bad), "--data", str(dataset), "--out", str(out),
         )
         assert code == 1
         assert err.strip().split("\n") == [
-            f"error\tValueError\t{bad}: truncated checkpoint at tensor entity_embed"
+            f"error\tValueError\t{bad}: truncated checkpoint"
         ]
         assert not list(out.glob("*.report"))
 
@@ -477,6 +501,20 @@ class TestOptionSources:
         assert not (tmp_path / "out").exists()
 
 
+    def test_repeated_config_key_is_one_line_error_before_any_read(self, tmp_path, capsys):
+        config_file = tmp_path / "run.conf"
+        config_file.write_text("epochs = 5\nepochs = 7\n", encoding="utf-8")
+        code, stdout, err = run_cli(
+            capsys, "train", "--data", str(tmp_path / "missing"), "--out", str(tmp_path / "out"),
+            "--config", str(config_file),
+        )
+        assert (code, stdout) == (1, "")
+        assert err.strip().split("\n") == [
+            f"error\tValueError\t{config_file}:2: key 'epochs' repeats line 1"
+        ]
+        assert not (tmp_path / "out").exists()
+
+
 class TestAuditInverse:
     def test_stdout_report(self, tmp_path, capsys):
         (tmp_path / "train.txt").write_text(
@@ -502,17 +540,8 @@ class TestAuditInverse:
 
     @pytest.mark.parametrize("damage, message", [
         pytest.param("duplicate_entity", "duplicate entity label 'a'", id="duplicate_entity"),
-        pytest.param("reverse_out_of_range",
-                     "{cache}: stored reverse map disagrees with the relation labels",
-                     id="reverse_out_of_range"),
         pytest.param("reverse_in_valid",
                      "valid split holds reverse relation 'p^-1'", id="reverse_in_valid"),
-        pytest.param("reverse_mispaired",
-                     "{cache}: stored reverse map disagrees with the relation labels",
-                     id="reverse_mispaired"),
-        pytest.param("forward_count",
-                     "{cache}: stored reverse map disagrees with the relation labels",
-                     id="forward_count"),
     ])
     def test_damaged_vocabulary_is_one_line_value_error(self, tiny_dir, tmp_path, capsys,
                                                         damage, message):
@@ -522,25 +551,16 @@ class TestAuditInverse:
                              "--test", str(tiny_dir / "test.txt"), "--out", str(prep))
         assert code == 0
         cache = prep / "dataset.dskg"
-        blob = bytearray(cache.read_bytes())
-        # Three one-letter entity labels (a, b, c) follow the 32-byte header,
-        # each as a 4-byte length and its byte; the four relations' reverse
-        # ids come just before the 5 + 1 + 1 triples of the splits. Relation
-        # ids are q, p, q^-1, p^-1 (q is the more frequent). The header's
-        # third field, at byte 16, counts the forward relations.
-        reverse_at = len(blob) - 12 * 7 - 4 * 4
+        payload = container_payload(cache, data.CACHE_MAGIC)
+        # Three one-letter entity labels (a, b, c) follow the 20-byte header,
+        # each as a 4-byte length and its byte; the payload ends with the
+        # valid and then the test triple. Relation ids are q, p, q^-1, p^-1
+        # (q is the more frequent).
         if damage == "duplicate_entity":
-            blob[32 + 5 + 4] = blob[32 + 4]
-        elif damage == "reverse_out_of_range":
-            blob[reverse_at:reverse_at + 4] = (999).to_bytes(4, "little")
-        elif damage == "reverse_mispaired":  # q <-> p^-1 and p <-> q^-1
-            blob[reverse_at:reverse_at + 16] = np.array([3, 2, 1, 0], "<u4").tobytes()
-        elif damage == "forward_count":
-            blob[16:20] = (1).to_bytes(4, "little")
+            payload[20 + 5 + 4] = payload[20 + 4]
         else:  # the valid triple's relation becomes p^-1
-            at = len(blob) - 12 * 2 + 4
-            blob[at:at + 4] = (3).to_bytes(4, "little")
-        cache.write_bytes(bytes(blob))
+            payload[-20:-16] = (3).to_bytes(4, "little")
+        data.write_container(cache, data.CACHE_MAGIC, data.CACHE_VERSION, [payload])
         code, stdout, err = run_cli(capsys, "audit-inverse", "--data", str(cache))
         assert code == 1 and stdout == ""
         assert err.strip().split("\n") == [f"error\tValueError\t{message.format(cache=cache)}"]
@@ -571,6 +591,13 @@ class TestConfigHelpers:
         path = tmp_path / "c.conf"
         path.write_text("# comment\nalpha = 0.5\n\nbeta=2\n", encoding="utf-8")
         assert parse_config_file(path) == {"alpha": "0.5", "beta": "2"}
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("epochs = 5\n# comment\nseed = 1\n epochs=7\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            parse_config_file(path)
+        assert str(err.value) == f"{path}:4: key 'epochs' repeats line 1"
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "c.conf"

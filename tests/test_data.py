@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import container_payload, mutation_failures
 from dskg import data
 from dskg.data import (
     RawTriple,
@@ -417,23 +418,49 @@ class TestCache:
     def test_magic_check(self, tmp_path):
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOTADATA" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError) as err:
             data.load_dataset(path)
+        assert str(err.value) == f"{path}: not a dataset cache (bad magic b'NOTADATA')"
+
+    def test_version_1_cache_is_refused_as_bad_magic(self, tiny_dataset, tmp_path):
+        # A DSKGDAT1 cache from before the container: re-run prepare.
+        path = tmp_path / "dataset.dskg"
+        data.save_dataset(tiny_dataset, path)
+        path.write_bytes(b"DSKGDAT1" + path.read_bytes()[9:])
+        with pytest.raises(ValueError) as err:
+            data.load_dataset(path)
+        assert str(err.value) == f"{path}: not a dataset cache (bad magic b'DSKGDAT1')"
+
+    def test_other_version_reports_its_version(self, tiny_dataset, tmp_path):
+        path = tmp_path / "dataset.dskg"
+        data.save_dataset(tiny_dataset, path)
+        blob = bytearray(path.read_bytes())
+        blob[len(data.CACHE_MAGIC)] = 3
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError) as err:
+            data.load_dataset(path)
+        assert str(err.value) == f"{path}: unsupported dataset cache version 3"
 
     def test_truncated_cache_rejected(self, tiny_dataset, tmp_path):
         path = tmp_path / "dataset.dskg"
         data.save_dataset(tiny_dataset, path)
         path.write_bytes(path.read_bytes()[:-12])  # one test triple short
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError) as err:
             data.load_dataset(path)
+        assert str(err.value) == f"{path}: dataset cache checksum mismatch"
 
-    def test_count_past_the_end_is_truncation(self, tiny_dataset, tmp_path):
-        # A damaged count must not become a read of that many bytes.
+    def test_every_mutation_is_a_value_error_naming_the_file(self, tiny_dataset, tmp_path):
         path = tmp_path / "dataset.dskg"
         data.save_dataset(tiny_dataset, path)
-        blob = bytearray(path.read_bytes())
-        blob[20:24] = (2**31).to_bytes(4, "little")  # the header's training-triple count
-        path.write_bytes(bytes(blob))
+        assert mutation_failures(path, data.load_dataset) == []
+
+    def test_count_past_the_end_is_truncation(self, tiny_dataset, tmp_path):
+        # A count that passes the CRC still must not become a read of that many bytes.
+        path = tmp_path / "dataset.dskg"
+        data.save_dataset(tiny_dataset, path)
+        payload = container_payload(path, data.CACHE_MAGIC)
+        payload[8:12] = (2**31).to_bytes(4, "little")  # the header's training-triple count
+        data.write_container(path, data.CACHE_MAGIC, data.CACHE_VERSION, [payload])
         with pytest.raises(ValueError) as err:
             data.load_dataset(path)
         assert str(err.value) == f"{path}: truncated dataset cache"
@@ -441,7 +468,8 @@ class TestCache:
     def test_trailing_bytes_rejected(self, tiny_dataset, tmp_path):
         path = tmp_path / "dataset.dskg"
         data.save_dataset(tiny_dataset, path)
-        path.write_bytes(path.read_bytes() + b"\x00" * 12)
+        payload = container_payload(path, data.CACHE_MAGIC) + b"\x00" * 12
+        data.write_container(path, data.CACHE_MAGIC, data.CACHE_VERSION, [payload])
         with pytest.raises(ValueError, match="trailing bytes"):
             data.load_dataset(path)
 
@@ -449,12 +477,16 @@ class TestCache:
         path = tmp_path / "dataset.dskg"
         data.save_dataset(tiny_dataset, path)
         before = path.read_bytes()
+        real = data.write_container
 
-        def fail(buf, array, dtype):
-            buf.write(b"partial")
-            raise OSError("disk full")
+        def fail_at_the_third_part(path, magic, version, parts):
+            def parts_then_fail():
+                yield from list(parts)[:2]
+                raise OSError("disk full")
 
-        monkeypatch.setattr(data, "_write_array", fail)
+            real(path, magic, version, parts_then_fail())
+
+        monkeypatch.setattr(data, "write_container", fail_at_the_third_part)
         with pytest.raises(OSError, match="disk full"):
             data.save_dataset(tiny_dataset, path)
         assert path.read_bytes() == before

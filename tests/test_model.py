@@ -1,16 +1,20 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
 from conftest import (
+    container_payload,
     equalized_pair,
     make_params,
+    mutation_failures,
     reference_lstm_backward,
     reference_lstm_forward,
     scalar_lstm_oracle,
 )
 from dskg import model
+from dskg.data import write_container
 from dskg.model import (
     CellParams,
     active_cells,
@@ -388,6 +392,14 @@ class TestCheckpoint:
         save_checkpoint(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        # Seeded Glorot draws and float32 bytes: no BLAS is involved.
+        path = tmp_path / "ck.dskg"
+        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a5e7a6c9b75817e56585dea33b29f37d37af6bbb322ca895aab84750356a4d65"
+        )
+
     def test_roundtrip_values(self, tmp_path):
         params = init_params(7, 4, 6, 2, arch="shared", seed=13)
         path = tmp_path / "ck.dskg"
@@ -397,6 +409,8 @@ class TestCheckpoint:
         for (na, ta), (nb, tb) in zip(named_tensors(params), named_tensors(loaded)):
             assert na == nb
             assert np.array_equal(ta, tb)
+            # Views of the file's bytes: the header's pad keeps them aligned.
+            assert tb.dtype == np.float32 and tb.flags.aligned and tb.flags.writeable
 
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         params = init_params(7, 4, 6, 2, seed=13)
@@ -417,10 +431,11 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dskg"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError) as err:
             load_checkpoint(path)
+        assert str(err.value) == f"{path}: not a checkpoint (bad magic b'WRONGMAG')"
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_1_rejected(self, tmp_path, version):
         path = tmp_path / "ck.dskg"
         save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
@@ -440,8 +455,8 @@ class TestCheckpoint:
     def test_header_sizes_no_model_has_name_field_and_file(self, tmp_path, field, sizes):
         # No tensor follows the header: the sizes are checked before one is read.
         path = tmp_path / "ck.dskg"
-        header = model._HEADER.pack(model.CHECKPOINT_VERSION, *sizes, 0)
-        path.write_bytes(model.CHECKPOINT_MAGIC + header)
+        write_container(path, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION,
+                        [model._HEADER.pack(*sizes, 0)])
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header {field} ")):
             load_checkpoint(path)
 
@@ -455,11 +470,12 @@ class TestCheckpoint:
     def test_unknown_architecture_byte_names_file(self, tmp_path):
         path = tmp_path / "arch.dskg"
         save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
-        blob = bytearray(path.read_bytes())
-        blob[len(model.CHECKPOINT_MAGIC) + model._HEADER.size - 1] = 7
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        payload = container_payload(path, model.CHECKPOINT_MAGIC)
+        payload[16] = 7  # the architecture code, after four uint32 sizes
+        write_container(path, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION, [payload])
+        with pytest.raises(ValueError) as err:
             load_checkpoint(path)
+        assert str(err.value) == f"{path}: unknown architecture code 7"
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "ck.dskg"
@@ -482,19 +498,31 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 10])
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_size_past_the_end_is_truncation(self, tmp_path):
-        # A damaged size must not become a read of that many bytes.
-        path = tmp_path / "ck.dskg"
-        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
-        blob = bytearray(path.read_bytes())
-        start = len(model.CHECKPOINT_MAGIC)
-        header = list(model._HEADER.unpack_from(blob, start))
-        header[1] = 2**31  # num_entities
-        model._HEADER.pack_into(blob, start, *header)
-        path.write_bytes(bytes(blob))
         with pytest.raises(ValueError) as err:
             load_checkpoint(path)
-        assert str(err.value) == f"{path}: truncated checkpoint at tensor entity_embed"
+        assert str(err.value) == f"{path}: checkpoint checksum mismatch"
+
+    def test_every_mutation_is_a_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "ck.dskg"
+        save_checkpoint(init_params(3, 4, 2, 1, seed=0), path)
+        assert mutation_failures(path, load_checkpoint) == []
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ck.dskg"
+        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
+        payload = container_payload(path, model.CHECKPOINT_MAGIC) + b"\x00" * 4
+        write_container(path, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION, [payload])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: trailing bytes after the checkpoint's last field"
+
+    def test_size_past_the_end_is_truncation(self, tmp_path):
+        # A size that passes the CRC still must not become a read of that many bytes.
+        path = tmp_path / "ck.dskg"
+        save_checkpoint(init_params(7, 4, 6, 1, seed=0), path)
+        payload = container_payload(path, model.CHECKPOINT_MAGIC)
+        payload[0:4] = (2**31).to_bytes(4, "little")  # num_entities
+        write_container(path, model.CHECKPOINT_MAGIC, model.CHECKPOINT_VERSION, [payload])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: truncated checkpoint"
