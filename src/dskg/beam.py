@@ -12,12 +12,13 @@ its kernel by row count; the CLI fixes the chunk sizes.
 Both stages keep their best candidates in one bounded pool of int64 keys
 whose ascending order is ascending id order (``e * R + r`` for a pair,
 ``(s * R + r) * N + o`` for a triple), selected by a partition on score and
-sorted only once, at the end. Each scoring thread scores its chunks into one
-kept pair of buffers (``evaluation._score_buffers``), ``(entity_chunk, R)``
-in stage 1 and ``(pair_chunk, N)`` in stage 2, and cuts each block down to
-copies of the entries that can still enter the pool before it returns, so
-memory is one buffer pair per worker plus the survivors. The precision curve
-tests its outputs against the dataset's sorted fact keys by binary search.
+sorted only once, at the end. Each scoring thread scores one fresh block at a
+time, ``(entity_chunk, R)`` in stage 1 and ``(pair_chunk, N)`` in stage 2,
+and cuts it down to copies of the entries that can still enter the pool
+before it returns, so memory is one block per worker plus the survivors.
+``evaluation.map_chunks`` pins glibc's malloc thresholds, so each block
+reuses the memory its predecessor freed. The precision curve tests its
+outputs against the dataset's sorted fact keys by binary search.
 
 Both stages score through ``evaluation.relation_scores_batch`` and
 ``entity_scores_batch``, so a model with non-finite logits raises the same
@@ -26,7 +27,6 @@ ValueError as ranking does instead of yielding an empty beam.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from .data import (
     IndexedDataset, Vocabulary, _encode_pairs, _encode_triples, atomic_write, check_key_range,
 )
-from .evaluation import _score_buffers, entity_scores_batch, map_chunks, relation_scores_batch
+from .evaluation import entity_scores_batch, map_chunks, relation_scores_batch
 from .model import ModelParams
 
 
@@ -72,14 +72,14 @@ class _TopK:
 
     The work is split between the threads that score and the one that
     consumes. ``select`` runs on a scoring thread: it cuts a score block down
-    to copies of the entries that can still enter the pool, so the thread's
-    score buffers are free again when it returns. ``offer`` runs on the
-    consuming thread and folds those survivors into the pool, which it cuts
-    back to ``limit`` by a partition on score plus the smallest keys of the
-    tie band at the cutoff; only ``finish`` sorts. Given the same scores, the
-    pool holds the same entries whatever the chunking, worker count or
-    timing: every global top-``limit`` candidate is within its own block's
-    top ``limit``, and the cutoff a scoring thread reads only ever rises.
+    to copies of the entries that can still enter the pool, so the block can
+    be freed when it returns. ``offer`` runs on the consuming thread and folds
+    those survivors into the pool, which it cuts back to ``limit`` by a
+    partition on score plus the smallest keys of the tie band at the cutoff;
+    only ``finish`` sorts. Given the same scores, the pool holds the same
+    entries whatever the chunking, worker count or timing: every global
+    top-``limit`` candidate is within its own block's top ``limit``, and the
+    cutoff a scoring thread reads only ever rises.
 
     Scores must be finite: NaN fails every ``>= cutoff`` test and would be
     dropped without a trace. The stages select from softmax blocks, which
@@ -151,12 +151,10 @@ def stage1_pairs(
     num_relations = params.num_relations
     check_key_range(params.num_entities, num_relations)
     pool = _TopK(config.stage1_window)
-    local = threading.local()
 
     def select_span(span):
         entities = np.arange(*span, dtype=np.int64)
-        buffers = _score_buffers(local, len(entities), num_relations, params.dtype)
-        return pool.select(entities, relation_scores_batch(params, entities, out=buffers))
+        return pool.select(entities, relation_scores_batch(params, entities))
 
     for keys, scores in map_chunks(select_span, params.num_entities, entity_chunk, workers):
         pool.offer(keys, scores)
@@ -184,12 +182,10 @@ def stage2_triples(
     pool = _TopK(config.stage2_window)
     pair_ids, pair_scores = pairs.triples, pairs.scores
     pair_keys = _encode_pairs(pair_ids[:, 0], pair_ids[:, 1], num_relations)
-    local = threading.local()
 
     def select_span(span):
         lo, hi = span
-        buffers = _score_buffers(local, hi - lo, num_entities, params.dtype)
-        probs = entity_scores_batch(params, pair_ids[lo:hi, 0], pair_ids[lo:hi, 1], out=buffers)
+        probs = entity_scores_batch(params, pair_ids[lo:hi, 0], pair_ids[lo:hi, 1])
         probs *= pair_scores[lo:hi, None]
         return pool.select(pair_keys[lo:hi], probs)
 

@@ -15,19 +15,21 @@ keys. Enhancement needs ``p(r | e) ** alpha`` only for the reverse relations
 the queries use: ``relation_prob_matrix`` fills that ``(U, N)`` block one
 entity chunk at a time, so no ``(N, R)`` relation matrix is built, and each
 query's row multiplies its probabilities in place. Memory is bounded by the
-chunk: each worker thread keeps one logits and one probability buffer for
-the length of a pass and scores every chunk into them, plus that ``(U, N)``
-block. Every score passes through ``_softmax64``, which raises ValueError on a
-row it cannot normalize (a NaN or +inf logit, or all -inf), so a diverged
-model never reports a perfect rank. ``evaluate_entity_prediction``
-and ``evaluate_cascade`` are views of the same pass that compute only what
-their one report needs. ``filtered_rank`` and ``unfiltered_rank`` remain the
-one-query definitions the batched ranks are tested against.
+chunk: each worker thread scores a chunk into fresh logits and probability
+arrays and is done with them before it takes the next, plus that ``(U, N)``
+block. ``map_chunks``, behind every pass, pins glibc's malloc thresholds
+(``model._pin_malloc``), so what one chunk frees is reused by the next rather
+than faulted in again. Every score passes through ``_softmax64``, which
+raises ValueError on a row it cannot normalize (a NaN or +inf logit, or all
+-inf), so a diverged model never reports a perfect rank.
+``evaluate_entity_prediction`` and ``evaluate_cascade`` are views of the same
+pass that compute only what their one report needs. ``filtered_rank`` and
+``unfiltered_rank`` remain the one-query definitions the batched ranks are
+tested against.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import IndexedDataset, atomic_write
-from .model import ModelParams, entity_step, forward_batch, logits
+from .model import ModelParams, _pin_malloc, entity_step, forward_batch, logits
 
 
 @dataclass
@@ -90,10 +92,9 @@ def metrics_from_ranks(ranks, keep_ranks: bool = False, relation_ranks=None) -> 
     )
 
 
-def _softmax64(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Float64 softmax of each row of ``raw``, written into ``out`` if given."""
-    scores = np.empty(raw.shape) if out is None else out
-    np.copyto(scores, raw)
+def _softmax64(raw: np.ndarray) -> np.ndarray:
+    """Float64 softmax of each row of ``raw``, as a new array."""
+    scores = raw.astype(np.float64)
     top = scores.max(axis=-1, keepdims=True)
     # NaN or +inf anywhere in a row, or a row of all -inf, makes its max
     # non-finite; every other row gives finite probabilities.
@@ -105,44 +106,20 @@ def _softmax64(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return scores
 
 
-def entity_scores_batch(params: ModelParams, subjects, relations, out=None) -> np.ndarray:
-    """Probability rows over all entities for (s, r, ?) queries.
-
-    ``out``, if given, is a ``(logits, probs)`` pair of C-contiguous
-    ``(len(subjects), N)`` arrays of ``params.dtype`` and float64, as
-    ``_score_buffers`` hands out. The scores are written into them with the
-    same bits, and ``probs`` is returned.
-    """
+def entity_scores_batch(params: ModelParams, subjects, relations) -> np.ndarray:
+    """Probability rows over all entities for (s, r, ?) queries."""
     _, h_r, _ = forward_batch(params, subjects, relations)
-    raw, probs = (None, None) if out is None else out
-    return _softmax64(logits(params, h_r, "entity", out=raw), out=probs)
+    return _softmax64(logits(params, h_r, "entity"))
 
 
-def relation_scores_batch(params: ModelParams, subjects, out=None) -> np.ndarray:
+def relation_scores_batch(params: ModelParams, subjects) -> np.ndarray:
     """Probability rows over all relations given each subject entity.
 
     Runs only the entity step of the forward pass; the relation step of the
-    model never feeds back into this hidden state. ``out`` is as for
-    ``entity_scores_batch``, with rows of width R.
+    model never feeds back into this hidden state.
     """
     h_s, *_ = entity_step(params, subjects)
-    raw, probs = (None, None) if out is None else out
-    return _softmax64(logits(params, h_s, "relation", out=raw), out=probs)
-
-
-def _score_buffers(local: threading.local, rows: int, width: int, dtype):
-    """This thread's kept ``(rows, width)`` logits and probability arrays.
-
-    ``local`` belongs to one pass. A thread's arrays are made on its first
-    call, grown when a later call needs more, and freed with ``local`` when
-    the pass returns. Every call hands out views of the same memory, so a
-    thread must be done with one pair before it asks for the next.
-    """
-    size = rows * width
-    if len(getattr(local, "probs", ())) < size:
-        local.raw = np.empty(size, dtype)
-        local.probs = np.empty(size)
-    return local.raw[:size].reshape(rows, width), local.probs[:size].reshape(rows, width)
+    return _softmax64(logits(params, h_s, "relation"))
 
 
 def relation_prob_matrix(
@@ -153,18 +130,16 @@ def relation_prob_matrix(
 
     Row i holds every entity's probability of ``relations[i]`` given the
     entity, raised to alpha. Entities are scored ``chunk`` at a time on
-    ``workers`` threads, each into its own kept ``(chunk, R)`` buffers, and
-    each chunk's columns are raised straight into its slice of the block, so
-    the full ``(N, R)`` matrix is never built.
+    ``workers`` threads, one ``(chunk, R)`` block each, and each chunk's
+    columns are raised straight into its slice of the block, so the full
+    ``(N, R)`` matrix is never built.
     """
     relations = np.asarray(relations, dtype=np.int64)
     power = np.empty((len(relations), params.num_entities))
-    local = threading.local()
 
     def fill(span):
         lo, hi = span
-        buffers = _score_buffers(local, hi - lo, params.num_relations, params.dtype)
-        probs = relation_scores_batch(params, np.arange(lo, hi), out=buffers)
+        probs = relation_scores_batch(params, np.arange(lo, hi))
         np.power(probs[:, relations].T, alpha, out=power[:, lo:hi])
 
     deque(map_chunks(fill, params.num_entities, chunk, workers), maxlen=0)
@@ -220,12 +195,15 @@ def map_chunks(fn, total: int, chunk: int, workers: int):
     at most ``2 * workers`` of them submitted and not yet consumed, so
     finished results cannot pile up behind a slow consumer. ``workers < 1``
     or ``chunk < 1`` raises ``ValueError`` at the call, before any span is
-    scored.
+    scored. Otherwise the call pins glibc's malloc thresholds for the rest of
+    the process (``model._pin_malloc``), so the arrays one span frees serve
+    the next.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    _pin_malloc()
     spans = [(start, min(start + chunk, total)) for start in range(0, total, chunk)]
     if workers == 1 or len(spans) <= 1:
         return map(fn, spans)
@@ -305,21 +283,17 @@ def _rank_pass(params, dataset, *, plain, alpha, relation, split, chunk, pessimi
 
     Returns a dict with the filtered entity ranks ``"plain"`` (if ``plain``),
     ``"enhanced"`` (if ``alpha`` is not None) and the unfiltered relation
-    ranks ``"relation"`` (if ``relation``). Each thread scores its chunks
-    into one set of kept ``chunk`` x N buffers, which is safe because a chunk
-    is fully ranked before its thread scores the next one; the buffers go
-    when the pass returns. Enhancing adds the reverse-power block.
+    ranks ``"relation"`` (if ``relation``). A chunk's ``chunk`` x N scores
+    are ranked every way and dropped before its thread scores the next
+    chunk. Enhancing adds the reverse-power block.
     """
     subjects, relations, golds = _both_direction_queries(dataset, split)
     lo, hi = dataset.answer_spans(subjects, relations)
     objects = dataset.answer_objects
-    local = threading.local()
 
     def rank_span(span):
         q = slice(*span)
-        rows = span[1] - span[0]
-        buffers = _score_buffers(local, rows, params.num_entities, params.dtype)
-        probs = entity_scores_batch(params, subjects[q], relations[q], out=buffers)
+        probs = entity_scores_batch(params, subjects[q], relations[q])
         out = {}
         if plain:
             out["plain"] = filtered_ranks(
@@ -332,11 +306,8 @@ def _rank_pass(params, dataset, *, plain, alpha, relation, split, chunk, pessimi
                 probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
             )
         if relation:
-            # the entity rows are ranked, so their buffers take the relation rows
-            buffers = _score_buffers(local, rows, params.num_relations, params.dtype)
             out["relation"] = unfiltered_ranks(
-                relation_scores_batch(params, subjects[q], out=buffers),
-                relations[q], pessimistic=pessimistic,
+                relation_scores_batch(params, subjects[q]), relations[q], pessimistic=pessimistic
             )
         return out
 

@@ -21,6 +21,8 @@ architecture runs are stored.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
 import struct
 from dataclasses import dataclass
@@ -46,6 +48,18 @@ CHECKPOINT_VERSION = 4
 _HEADER = struct.Struct("<4IB2x")
 
 MAX_LAYERS = 4
+
+
+def _pin_malloc():
+    """Keep what a step or a scoring chunk frees for the next one (glibc: mmap
+    only above 32 MB, trim only above 1 GB); handed back to the kernel, it
+    would be faulted in again. Set for the rest of the process; a libc without
+    ``mallopt`` changes nothing."""
+    with contextlib.suppress(AttributeError, OSError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 def _sigmoid(x):
@@ -390,14 +404,8 @@ def forward_batch(
     return h_s, h_r, cache
 
 
-def logits(
-    params: ModelParams, h: np.ndarray, kind: str, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Unscaled label scores: row(label) . h + bias(label) over one whole type block.
-
-    With ``out`` (a C-contiguous array of the scores' shape and ``params.dtype``)
-    the scores are written into it and it is returned, with the same bits.
-    """
+def logits(params: ModelParams, h: np.ndarray, kind: str) -> np.ndarray:
+    """Unscaled label scores: row(label) . h + bias(label) over one whole type block."""
     if kind == "entity":
         weight, bias = params.entity_out_w, params.entity_out_b
     elif kind == "relation":
@@ -407,11 +415,9 @@ def logits(
     h = np.asarray(h)
     if h.shape[-1] != params.embed_dim:
         raise ValueError("hidden vector has wrong width")
-    if out is None:
-        return h @ weight.T + bias
-    np.matmul(h, weight.T, out=out)
-    out += bias
-    return out
+    scores = h @ weight.T
+    scores += bias
+    return scores
 
 
 def save_checkpoint(params: ModelParams, path):

@@ -47,6 +47,8 @@ class ToyConfig:
             raise ValueError(
                 f"num_extra_pairs (--extra-pairs) must be >= 0, got {self.num_extra_pairs}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_chains == 0 and self.num_extra_pairs == 0:
             raise ValueError("num_chains (--chains) and num_extra_pairs (--extra-pairs) "
                              "are both 0, so the graph would be empty")

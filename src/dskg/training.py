@@ -14,8 +14,6 @@ differences in float64.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,6 +27,7 @@ from .model import (
     MAX_LAYERS,
     STEP_STACKS,
     ModelParams,
+    _pin_malloc,
     active_cells,
     apply_mask,
     forward_batch,
@@ -75,6 +74,7 @@ class TrainConfig:
             ("epochs", self.epochs >= 0, "must be >= 0"),
             ("patience", self.patience >= 1, "must be >= 1"),
             ("eval_interval", self.eval_interval >= 1, "must be >= 1"),
+            ("seed", self.seed >= 0, "must be >= 0"),
             ("embed_dim", self.embed_dim >= 1, "must be >= 1"),
             ("num_layers", 1 <= self.num_layers <= MAX_LAYERS, f"must be in 1..{MAX_LAYERS}"),
         ):
@@ -424,12 +424,7 @@ def train(
             )
             return report.mrr, report.hits10
 
-    # Keep what a step frees for the next step (glibc: mmap only above 32 MB, trim
-    # only above 1 GB); handed back to the kernel, it would be faulted in again.
-    with contextlib.suppress(AttributeError, OSError):
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    _pin_malloc()
     started = time.perf_counter()
     log_handle = open(log_path, "w", encoding="utf-8") if log_path else None
     try:

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -226,6 +227,27 @@ class TestTieBands:
                 assert np.array_equal(out.scores, expected.scores)
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestStage2Memory:
+    def test_peak_is_bounded_by_the_pair_chunk(self):
+        # far below the (pairs, N) block that scoring every pair at once makes
+        n, pair_chunk = 10_000, 8
+        params = make_params(num_entities=n, num_relations=64, dtype=np.float32)
+        config = BeamConfig(stage1_window=64, stage2_window=2000)
+        pairs = stage1_pairs(params, config)
+        # a chunk's float32 logits and float64 probabilities, then 16-byte pool
+        # entries: up to 3 windows between cuts plus a chunk's survivors, the
+        # copies a cut makes, and the output
+        bound = 2 * pair_chunk * n * 12 + 8 * config.stage2_window * 16
+        assert len(pairs) * n * 8 > bound
+        tracemalloc.start()
+        try:
+            stage2_triples(params, pairs, config, pair_chunk=pair_chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestKeyRange:

@@ -120,20 +120,21 @@ class TestGenToy:
         assert (a / "train.txt").read_bytes() == (b / "train.txt").read_bytes()
         assert (a / "test.txt").read_bytes() == (b / "test.txt").read_bytes()
 
-    @pytest.mark.parametrize("counts, flag", [
+    @pytest.mark.parametrize("counts, named", [
         (("--chains", "-5"), "--chains"),
         (("--extra-pairs", "-3"), "--extra-pairs"),
         (("--chains", "0", "--extra-pairs", "0"), "--extra-pairs"),
-    ], ids=["negative_chains", "negative_extra_pairs", "both_zero"])
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+    ], ids=["negative_chains", "negative_extra_pairs", "both_zero", "negative_seed"])
     def test_bad_counts_are_one_line_error_before_any_write(self, tmp_path, capsys,
-                                                              counts, flag):
+                                                              counts, named):
         out = tmp_path / "toy"
         code, _, err = run_cli(capsys, "gen-toy", "--out", str(out), *counts)
         assert code == 1
         lines = err.strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("error\tValueError\t")
-        assert flag in lines[0]
+        assert named in lines[0]
         assert not out.exists()
 
 
@@ -473,6 +474,7 @@ class TestOptionSources:
         ("train", "patience", "0", "patience must be >= 1, got 0"),
         ("train", "eval_interval", "0", "eval_interval must be >= 1, got 0"),
         ("train", "embed_dim", "0", "embed_dim must be >= 1, got 0"),
+        ("train", "seed", "-1", "seed must be >= 0, got -1"),
         ("train", "layers", "0", "layers must be in 1..4, got 0"),
         ("train", "layers", "7", "layers must be in 1..4, got 7"),
         ("eval", "alpha", "2", "alpha must be in (0, 1) when enhancement is enabled"),

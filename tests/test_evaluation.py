@@ -1,13 +1,15 @@
 import sys
 import threading
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_params
-from dskg import cli, evaluation
+from dskg import cli, evaluation, model
 from dskg.data import RawTriple, augment_reverse, index_dataset, save_dataset
 from dskg.evaluation import (
     EnhanceConfig,
@@ -152,30 +154,6 @@ class TestScoreVectors:
         two = relation_prob_matrix(params, [1, 3], 1 / 3, chunk=3, workers=2)
         assert np.array_equal(one, two)
 
-    @pytest.mark.parametrize("kind", ["entity", "relation"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_out_buffers_hold_the_same_bits(self, kind, dtype):
-        params = make_params(num_entities=9, num_relations=4, dtype=dtype)
-        subjects, relations = [1, 4, 4, 0, 8], [0, 3, 1, 2, 2]
-        width = 9 if kind == "entity" else 4
-        raw, probs = np.full((5, width), np.nan, dtype), np.full((5, width), np.nan)
-
-        def score(out=None):
-            if kind == "entity":
-                return entity_scores_batch(params, subjects, relations, out=out)
-            return relation_scores_batch(params, subjects, out=out)
-
-        assert score(out=(raw, probs)) is probs
-        assert np.array_equal(probs, score())
-        assert np.array_equal(score(out=(raw, probs)), score())  # a used buffer too
-
-    def test_logits_out_holds_the_same_bits(self):
-        params = make_params(num_entities=9, num_relations=4, dtype=np.float32)
-        _, h_r, _ = forward_batch(params, [1, 2, 3], [0, 1, 2])
-        out = np.empty((3, 9), np.float32)
-        assert logits(params, h_r, "entity", out=out) is out
-        assert np.array_equal(out, logits(params, h_r, "entity"))
-
 
 class TestMapChunks:
     def test_in_flight_spans_bounded_behind_slow_consumer(self):
@@ -199,6 +177,16 @@ class TestMapChunks:
         assert seen == [(lo, lo + 1) for lo in range(40)]
         assert counts["most_unconsumed"] <= 2 * workers
 
+    def test_pins_malloc_before_any_span(self, monkeypatch):
+        settings, calls = [], []
+
+        def mallopt(param, value):
+            settings.append((param, value))
+
+        monkeypatch.setattr(model.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        spans = evaluation.map_chunks(calls.append, 4, 3, 1)
+        assert settings == [(-3, 32 << 20), (-1, 1 << 30)] and calls == []
+        assert list(spans) == [None, None] and calls == [(0, 3), (3, 4)]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected_before_any_span(self, workers):
@@ -505,19 +493,6 @@ class TestNonFiniteScores:
             with pytest.raises(ValueError, match="cannot rank non-finite scores"):
                 evaluation.evaluate_variants(params, ds, [variant])
 
-    @pytest.mark.parametrize("kind", ["entity", "relation"])
-    def test_nan_model_raises_into_out_buffers(self, kind):
-        ds, params = self.setup_model()
-        params.entity_out_w[...] = np.nan
-        params.relation_out_w[...] = np.nan
-        width = params.num_entities if kind == "entity" else params.num_relations
-        out = (np.empty((3, width), params.dtype), np.empty((3, width)))
-        with pytest.raises(ValueError, match="cannot rank non-finite scores"):
-            if kind == "entity":
-                entity_scores_batch(params, [0, 1, 2], [0, 1, 2], out=out)
-            else:
-                relation_scores_batch(params, [0, 1, 2], out=out)
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_relation_weights_break_the_cascade(self, workers):
         ds, params = self.setup_model()
@@ -525,6 +500,33 @@ class TestNonFiniteScores:
         evaluation.evaluate_variants(params, ds, ["entity_plain"], workers=workers)
         with pytest.raises(ValueError, match="cannot rank non-finite scores"):
             evaluation.evaluate_variants(params, ds, ["cascade_plain"], chunk=3, workers=workers)
+
+
+class TestPassMemory:
+    """A pass holds about one chunk's scores at a time: its peak stays under a
+    small multiple of a ``(chunk, N)`` block, far below a ``(queries, N)`` or
+    ``(N, R)`` array."""
+
+    def test_evaluate_variants_peak_is_bounded_by_the_chunk(self):
+        n, chunk = 10_000, 8
+        train = [RawTriple(f"e{i}", f"r{i % 32}", f"e{(i + 1) % n}") for i in range(n)]
+        test = [RawTriple(f"e{i}", "r0", f"e{i + 7}") for i in range(30)]
+        ds = index_dataset(train, [], test)
+        params = make_params(
+            num_entities=n, num_relations=ds.vocab.num_relations, dtype=np.float32
+        )
+        queries = 2 * len(test)
+        # float32 logits and float64 probabilities of a chunk, the reverse-power
+        # block (r0 and its reverse) and every variant's ranks
+        bound = 2 * chunk * n * 12 + 2 * n * 8 + 8 * queries * 8
+        assert min(queries, ds.vocab.num_relations) * n * 8 > bound
+        tracemalloc.start()
+        try:
+            evaluation.evaluate_variants(params, ds, chunk=chunk, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestReportFormat:
@@ -652,9 +654,9 @@ class TestScoringNames:
             evaluation.relation_prob_matrix(params, [0, 1], 0.5, chunk=chunk)
 
 
-class TestReusedBuffers:
-    """Each worker thread scores every chunk of a pass into one kept set of
-    buffers. No chunk size, worker count or earlier pass may show in a rank."""
+class TestChunkedPasses:
+    """A pass scores its queries a chunk at a time, on one or more worker
+    threads. No chunk size, worker count or earlier pass may show in a rank."""
 
     @staticmethod
     def oracle_ranks(params, ds, alpha=EnhanceConfig.alpha):
@@ -718,8 +720,8 @@ class TestReusedBuffers:
 
     def test_threads_never_share_a_buffer(self):
         # More workers than cores and a short switch interval interleave the
-        # threads between numpy calls; buffers shared between threads then
-        # overwrite a block that another thread is still ranking.
+        # threads between numpy calls; a score block shared between threads
+        # would then be overwritten while another thread is still ranking it.
         ds = random_toy_dataset(np.random.default_rng(5), num_entities=200, num_relations=5,
                                 n_train=400, n_eval=150)
         params = make_params(

@@ -69,7 +69,8 @@ class TestGenerator:
         ({"num_chains": -5}, "num_chains"),
         ({"num_extra_pairs": -3}, "num_extra_pairs"),
         ({"num_chains": 0, "num_extra_pairs": 0}, "both 0"),
-    ], ids=["negative_chains", "negative_extra_pairs", "both_zero"])
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["negative_chains", "negative_extra_pairs", "both_zero", "negative_seed"])
     def test_bad_counts_rejected(self, counts, message):
         with pytest.raises(ValueError, match=message):
             ToyConfig(**counts)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import equalized_pair, loss_and_grad_map, make_params, scalar_lstm_oracle
-from dskg import data, training
+from dskg import data, model, training
+from dskg.beam import BeamConfig, stage1_pairs, stage2_triples
 from dskg.data import RawTriple, index_dataset
+from dskg.evaluation import evaluate_variants
 from dskg.model import (
     ModelParams,
     active_cells,
@@ -574,18 +576,40 @@ class TestTrainLoop:
         assert held < map_bytes, (held, map_bytes)
 
     def test_a_libc_without_mallopt_trains_the_same(self, tiny_dataset, monkeypatch):
+        """Training and every scoring pass (ranking at 1 and 2 workers, both
+        beam stages) give the same results when the malloc pin cannot be set."""
         config = small_config(epochs=2, keep_prob=0.5, precision="standard")
-        want = train(tiny_dataset, config)
+        beam_config = BeamConfig(stage1_window=6, stage2_window=20)
+
+        def run():
+            state = train(tiny_dataset, config)
+            outputs = []
+            for workers in (1, 2):
+                reports = evaluate_variants(
+                    state.params, tiny_dataset, keep_ranks=True, chunk=1, workers=workers
+                )
+                outputs += [(r.ranks, r.relation_ranks) for r in reports.values()]
+                pairs = stage1_pairs(state.params, beam_config, entity_chunk=1, workers=workers)
+                triples = stage2_triples(
+                    state.params, pairs, beam_config, pair_chunk=1, workers=workers
+                )
+                outputs += [(out.triples, out.scores) for out in (pairs, triples)]
+            return state, outputs
+
+        want, want_outputs = run()
 
         def no_libc(name):
             raise OSError("no C library")
 
-        monkeypatch.setattr(training.ctypes, "CDLL", no_libc)
-        got = train(tiny_dataset, config)
+        monkeypatch.setattr(model.ctypes, "CDLL", no_libc)
+        got, got_outputs = run()
         assert [line.split("\t")[:4] for line in got.log] == [
             line.split("\t")[:4] for line in want.log]
         for name, tensor in named_tensors(want.params):
             assert np.array_equal(got.params.tensors[name], tensor), name
+        for got_pair, want_pair in zip(got_outputs, want_outputs, strict=True):
+            for got_array, want_array in zip(got_pair, want_pair, strict=True):
+                assert np.array_equal(got_array, want_array)
 
     def test_log_file_append(self, tiny_dataset, tmp_path):
         config = small_config(epochs=2, precision="standard")
