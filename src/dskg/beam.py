@@ -46,8 +46,10 @@ class BeamConfig:
     curve_points: int = 1000
 
     def __post_init__(self):
-        if self.stage1_window < 1 or self.stage2_window < 1:
-            raise ValueError("beam windows must be >= 1")
+        for name, window in (("stage1_window", self.stage1_window),
+                             ("stage2_window", self.stage2_window)):
+            if window < 1:
+                raise ValueError(f"{name} must be >= 1, got {window}")
         if self.curve_points < 0:
             raise ValueError(f"curve_points must be >= 0, got {self.curve_points}")
 

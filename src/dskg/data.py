@@ -230,6 +230,12 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
+def _span_items(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Each item of the spans ``[lo[i], hi[i])`` laid end to end: its ``i``, and its index."""
+    owner = np.repeat(np.arange(len(lo)), hi - lo)
+    return owner, np.arange(len(owner)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)
+
+
 def check_key_range(num_entities: int, num_relations: int):
     """Raise ValueError unless every ``_encode_triples`` key fits in int64.
 
@@ -344,23 +350,19 @@ def audit_inverse_pairs(dataset: IndexedDataset) -> list[InverseAuditRow]:
 
     For each ordered pair (r1, r2) counts test triples (o, r2, s) whose
     swapped pair (s, r1, o) is a training triple, and the fraction of r2's
-    test triples so exposed. Pairs with zero overlap are omitted.
+    test triples so exposed. Pairs with zero overlap are omitted. Training
+    keys sort by (s, o, r), so a pair's relations are one binary-searched span.
     """
-    vocab = dataset.vocab
-    pair_index: dict[int, list[int]] = {}
-    num_entities = vocab.num_entities
-    for s, r, o in dataset.raw_train:
-        pair_index.setdefault(int(s) * num_entities + int(o), []).append(int(r))
-
-    counts: Counter = Counter()
-    test_totals: Counter = Counter(int(r) for r in dataset.test[:, 1])
-    for a, r2, b in dataset.test:
-        for r1 in pair_index.get(int(b) * num_entities + int(a), ()):
-            counts[(r1, int(r2))] += 1
-
+    n, r = dataset.vocab.num_entities, dataset.vocab.num_relations
+    train, test = dataset.raw_train.astype(np.int64), dataset.test.astype(np.int64)
+    keys = np.sort((train[:, 0] * n + train[:, 2]) * r + train[:, 1])
+    swapped = (test[:, 2] * n + test[:, 0]) * r
+    owner, at = _span_items(np.searchsorted(keys, swapped), np.searchsorted(keys, swapped + r))
+    pairs, overlaps = np.unique(keys[at] % r * r + test[owner, 1], return_counts=True)
+    totals = np.bincount(test[:, 1], minlength=r).tolist()
     rows = [
-        InverseAuditRow(r1, r2, n, n / test_totals[r2])
-        for (r1, r2), n in counts.items()
+        InverseAuditRow(pair // r, pair % r, k, k / totals[pair % r])
+        for pair, k in zip(pairs.tolist(), overlaps.tolist())
     ]
     rows.sort(key=lambda row: (-row.exposed_fraction, -row.overlap, row.train_relation, row.test_relation))
     return rows

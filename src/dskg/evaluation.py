@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import IndexedDataset, atomic_write
+from .data import IndexedDataset, _span_items, atomic_write
 from .model import ModelParams, _pin_malloc, entity_step, forward_batch, logits
 
 
@@ -50,7 +50,7 @@ class EnhanceConfig:
 
     def __post_init__(self):
         if self.enabled and not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1) when enhancement is enabled")
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
 
 @dataclass
@@ -232,10 +232,8 @@ def filtered_ranks(block, golds, lo, hi, objects, *, pessimistic: bool = False) 
     """
     golds = np.asarray(golds, dtype=np.int64)
     better = _beats_gold(block, golds, pessimistic)
-    lengths = hi - lo
-    owner = np.repeat(np.arange(len(golds)), lengths)  # the row of each known answer
-    shift = np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
-    cols = objects[np.arange(len(owner)) + shift]
+    owner, at = _span_items(lo, hi)  # the row of each known answer, and its index
+    cols = objects[at]
     missing = np.ones(len(golds), dtype=bool)
     missing[owner[cols == golds[owner]]] = False
     if missing.any():

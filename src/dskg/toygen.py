@@ -38,9 +38,11 @@ class ToyConfig:
 
     def __post_init__(self):
         if self.num_entities < 3:
-            raise ValueError("need at least 3 entities")
+            raise ValueError(f"num_entities (--entities) must be >= 3, got {self.num_entities}")
         if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in [0, 1)")
+            raise ValueError(
+                f"holdout_fraction (--holdout) must be in [0, 1), got {self.holdout_fraction}"
+            )
         if self.num_chains < 0:
             raise ValueError(f"num_chains (--chains) must be >= 0, got {self.num_chains}")
         if self.num_extra_pairs < 0:

@@ -373,6 +373,10 @@ class TestPrecisionCurve:
         scores = np.linspace(1.0, 0.5, num=len(ids))
         return ScoredTriples(triples=ids, scores=scores)
 
+    def test_empty_output_gives_an_empty_curve(self):
+        empty = ScoredTriples(triples=np.zeros((0, 3), dtype=np.int64), scores=np.zeros(0))
+        assert precision_curve(empty, chain_dataset()) == []
+
     def test_all_predictable_gives_precision_one(self):
         ds = chain_dataset()
         out = self.make_output(ds, [RawTriple("a", "q", "b"), RawTriple("b", "q", "a")])

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
 from conftest import container_payload, mutations
+from test_data import oracle_audit_inverse_pairs
 from dskg import beam, cli, data, evaluation, model, toygen, training
 from dskg.config import parse_config_file, resolve_options, write_resolved
 
@@ -125,7 +127,10 @@ class TestGenToy:
         (("--extra-pairs", "-3"), "--extra-pairs"),
         (("--chains", "0", "--extra-pairs", "0"), "--extra-pairs"),
         (("--seed", "-1"), "seed must be >= 0, got -1"),
-    ], ids=["negative_chains", "negative_extra_pairs", "both_zero", "negative_seed"])
+        (("--entities", "2"), "num_entities (--entities) must be >= 3, got 2"),
+        (("--holdout", "1.0"), "holdout_fraction (--holdout) must be in [0, 1), got 1.0"),
+    ], ids=["negative_chains", "negative_extra_pairs", "both_zero", "negative_seed",
+            "two_entities", "holdout_one"])
     def test_bad_counts_are_one_line_error_before_any_write(self, tmp_path, capsys,
                                                               counts, named):
         out = tmp_path / "toy"
@@ -231,6 +236,30 @@ class TestTrain:
         assert (code, stdout) == (1, "")
         assert err.strip().split("\n") == [f"error\tValueError\t{message}"]
         assert not out.exists()
+
+    def test_missing_dataset_is_one_line_error_before_any_write(self, tmp_path, capsys):
+        missing, out = tmp_path / "missing.dskg", tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "train", "--data", str(missing), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.strip().split("\n") == [
+            f"error\tFileNotFoundError\tno such dataset: {missing}"
+        ]
+        assert not out.exists()
+
+    def test_verbose_prints_the_log_lines_then_the_summary(self, tiny_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(
+            capsys, "train", "--data", str(tiny_dir), "--out", str(out), "--verbose",
+            "--embed-dim", "4", "--layers", "1", "--batch-size", "4", "--epochs", "3",
+            "--entity-negatives", "2", "--relation-negatives", "2",
+        )
+        assert code == 0, err
+        log = (out / "train.log").read_text().splitlines()
+        best = max(float(line.split("\t")[2]) for line in log)
+        assert stdout.splitlines() == log + [
+            f"epochs={len(log)}", f"best_val_mrr={best:.4f}",
+            f"checkpoint={out / 'checkpoint.dskg'}",
+        ]
 
     def test_training_writes_checkpoint_and_log(self, trained):
         _, checkpoint = trained
@@ -477,7 +506,9 @@ class TestOptionSources:
         ("train", "seed", "-1", "seed must be >= 0, got -1"),
         ("train", "layers", "0", "layers must be in 1..4, got 0"),
         ("train", "layers", "7", "layers must be in 1..4, got 7"),
-        ("eval", "alpha", "2", "alpha must be in (0, 1) when enhancement is enabled"),
+        ("eval", "alpha", "2", "alpha must be in (0, 1), got 2.0"),
+        ("predict-triples", "stage1_window", "0", "stage1_window must be >= 1, got 0"),
+        ("predict-triples", "stage2_window", "0", "stage2_window must be >= 1, got 0"),
         ("predict-triples", "curve_points", "-5", "curve_points must be >= 0, got -5"),
         ("eval", "workers", "0", "workers must be >= 1, got 0"),
         ("predict-triples", "workers", "0", "workers must be >= 1, got 0"),
@@ -566,6 +597,26 @@ class TestAuditInverse:
         code, stdout, err = run_cli(capsys, "audit-inverse", "--data", str(cache))
         assert code == 1 and stdout == ""
         assert err.strip().split("\n") == [f"error\tValueError\t{message.format(cache=cache)}"]
+
+    def test_out_bytes_match_the_oracle_on_the_readme_toy_flow(self, tmp_path, capsys):
+        toy, prep, out_file = tmp_path / "toy", tmp_path / "prep", tmp_path / "audit.tsv"
+        assert run_cli(capsys, "gen-toy", "--out", str(toy))[0] == 0
+        code, _, _ = run_cli(
+            capsys, "prepare", "--train", str(toy / "train.txt"),
+            "--valid", str(toy / "valid.txt"), "--test", str(toy / "test.txt"), "--out", str(prep),
+        )
+        assert code == 0
+        cache = prep / "dataset.dskg"
+        code, stdout, _ = run_cli(capsys, "audit-inverse", "--data", str(cache), "--out",
+                                  str(out_file))
+        assert (code, stdout) == (0, f"pairs=9\nout={out_file}\n")
+        dataset = data.load_dataset(cache)
+        expected = io.StringIO()
+        data.write_inverse_audit(oracle_audit_inverse_pairs(dataset), dataset.vocab, expected)
+        assert out_file.read_bytes() == expected.getvalue().encode()
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "61b9717defa5aa7faf97f05c90fc07d26d649b120c03ee11ea0320bb064f7dbe"
+        )
 
     def test_failed_out_write_keeps_the_previous_file(self, tiny_dir, tmp_path, capsys,
                                                       monkeypatch):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import container_payload, mutation_failures
 from dskg import data
@@ -80,6 +80,26 @@ def check_key_sets(ds, train, valid, test):
     assert ds.predict_keys.tolist() == keys(valid, test)
 
 
+def oracle_audit_inverse_pairs(dataset):
+    """``audit_inverse_pairs`` as a Python dict from each ordered training pair
+    to its relations, walked one test triple at a time."""
+    num_entities = dataset.vocab.num_entities
+    pair_index = {}
+    for s, r, o in dataset.raw_train:
+        pair_index.setdefault(int(s) * num_entities + int(o), []).append(int(r))
+    counts = Counter()
+    test_totals = Counter(int(r) for r in dataset.test[:, 1])
+    for a, r2, b in dataset.test:
+        for r1 in pair_index.get(int(b) * num_entities + int(a), ()):
+            counts[(r1, int(r2))] += 1
+    rows = [
+        data.InverseAuditRow(r1, r2, n, n / test_totals[r2])
+        for (r1, r2), n in counts.items()
+    ]
+    rows.sort(key=lambda row: (-row.exposed_fraction, -row.overlap, row.train_relation, row.test_relation))
+    return rows
+
+
 class TestParse:
     def test_basic_line(self):
         out = parse_triples(["USA\tcontains\tNewYorkCity"])
@@ -126,6 +146,15 @@ class TestVocabulary:
     def test_self_loop_counts_twice(self):
         vocab = build_vocabulary([RawTriple("a", "p", "a")])
         assert vocab.entity_freqs[vocab.entity_ids["a"]] == 2
+
+    @pytest.mark.parametrize("kind", ["entity", "relation"])
+    def test_increasing_frequencies_rejected(self, kind):
+        fields = dict(entity_labels=["a", "b"], entity_freqs=np.array([2, 1]),
+                      relation_labels=["p", "p^-1"], relation_freqs=np.array([1, 1]))
+        fields[f"{kind}_freqs"] = np.array([1, 2])
+        with pytest.raises(ValueError) as err:
+            data.Vocabulary(**fields)
+        assert str(err.value) == "lexicon frequencies must be non-increasing in id order"
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
@@ -320,6 +349,22 @@ class TestIndexedDataset:
         assert len(ds.predict_keys) == 0
         check_answer_index(ds)
 
+    def test_unknown_split_name_raises(self, tiny_dataset):
+        with pytest.raises(ValueError) as err:
+            tiny_dataset.split("bogus")
+        assert str(err.value) == "unknown split 'bogus'"
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_eval_entity_id_past_the_lexicon_raises(self, tiny_dataset, split, column):
+        vocab = tiny_dataset.vocab
+        row = np.zeros((1, 3), dtype=np.int32)
+        row[0, column] = vocab.num_entities
+        splits = {"valid": tiny_dataset.valid, "test": tiny_dataset.test, split: row}
+        with pytest.raises(ValueError) as err:
+            data.IndexedDataset(vocab, tiny_dataset.raw_train, splits["valid"], splits["test"])
+        assert str(err.value) == "entity id out of vocabulary bounds"
+
     def test_unknown_label_raises(self):
         train = parse_triples(["a\tp\tb"])
         with pytest.raises(ValueError):
@@ -399,6 +444,23 @@ class TestInverseAudit:
         for row in data.audit_inverse_pairs(ds):
             assert not ds.vocab.is_reverse[row.train_relation]
             assert not ds.vocab.is_reverse[row.test_relation]
+
+    # Repeated training triples, a self-loop, the pair (a, b) under p and q,
+    # and p exposing its own swap (r1 == r2); then an empty test split.
+    @example(
+        [RawTriple("a", "p", "b"), RawTriple("a", "p", "b"), RawTriple("a", "q", "b"),
+         RawTriple("c", "p", "c")],
+        [RawTriple("b", "p", "a"), RawTriple("c", "q", "c"), RawTriple("a", "p", "c")],
+    )
+    @example([RawTriple("a", "p", "b"), RawTriple("b", "p", "a")], [])
+    @given(st.lists(small_triples, min_size=1, max_size=16),
+           st.lists(small_triples, max_size=10))
+    def test_rows_match_the_dict_oracle(self, train, test):
+        ds = index_dataset(train, test=test, vocab=build_vocabulary(train + test))
+        rows = data.audit_inverse_pairs(ds)
+        assert rows == oracle_audit_inverse_pairs(ds)
+        for row in rows:
+            assert [type(value) for value in dataclasses.astuple(row)] == [int, int, int, float]
 
 
 class TestCache:

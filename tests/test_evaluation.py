@@ -332,6 +332,11 @@ class TestEnhancement:
             EnhanceConfig(alpha=0.0, enabled=True)
         EnhanceConfig(alpha=0.0, enabled=False)  # unused alpha unchecked
 
+    def test_negative_original_score_rejected(self):
+        with pytest.raises(ValueError) as err:
+            enhance_scores([0.5, -0.1], [0.5, 0.5], alpha=0.5)
+        assert str(err.value) == "original scores must be non-negative"
+
     def test_query_enhancement_uses_model_reverse_evidence(self):
         rng = np.random.default_rng(4)
         ds = random_toy_dataset(rng)
@@ -552,6 +557,13 @@ class TestReportFormat:
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["ranks.tsv"]
 
+    def test_rank_dump_of_a_report_without_ranks_writes_nothing(self, tiny_dataset, tmp_path):
+        report = metrics_from_ranks([1, 2])
+        with pytest.raises(ValueError) as err:
+            evaluation.write_ranks_dump(tmp_path / "ranks.tsv", tiny_dataset, "test", report)
+        assert str(err.value) == "report was built without keep_ranks"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScoringNames:
     """Every eval call scores through the module names a profiler wraps.
@@ -641,6 +653,13 @@ class TestScoringNames:
         ds, params = self.setup_model()
         with pytest.raises(ValueError, match="no evaluation variant asked for"):
             evaluation.evaluate_variants(params, ds, [])
+        assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+
+    def test_unknown_variant_is_an_error_before_any_scoring(self, calls):
+        ds, params = self.setup_model()
+        with pytest.raises(ValueError) as err:
+            evaluation.evaluate_variants(params, ds, ["entity_fancy"])
+        assert str(err.value) == "unknown evaluation variants: ['entity_fancy']"
         assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
 
     @pytest.mark.parametrize("chunk", [0, -1])

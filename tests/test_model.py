@@ -279,6 +279,12 @@ class TestForward:
         assert np.allclose(h_s, oh1, atol=1e-12)
         assert np.allclose(h_r, oh2, atol=1e-12)
 
+    def test_zero_keep_prob_rejected(self):
+        params = make_params()
+        with pytest.raises(ValueError) as err:
+            forward_batch(params, [1], [2], keep_prob=0.0, rng=np.random.default_rng(0))
+        assert str(err.value) == "keep_prob must be in (0, 1]"
+
     def test_shared_equals_dskg_when_cells_copied(self):
         params, shared = equalized_pair(make_params(num_layers=2, arch="dskg"))
         assert shared.arch == model.ARCH_SHARED
@@ -380,6 +386,12 @@ class TestLogits:
         params = make_params()
         with pytest.raises(ValueError):
             logits(params, np.zeros(params.embed_dim), "label")
+
+    def test_wrong_hidden_width(self):
+        params = make_params()
+        with pytest.raises(ValueError) as err:
+            logits(params, np.zeros(params.embed_dim + 1), "entity")
+        assert str(err.value) == "hidden vector has wrong width"
 
 
 class TestCheckpoint:
