@@ -2,10 +2,11 @@
 
 Every test triple (s, r, o) is evaluated in both directions: the tail query
 (s, r, ?) ranks o and the head query (o, r-reverse, ?) ranks s, so the
-reported metrics aggregate 2x the split size. Ranking is filtered: known
-correct answers other than the queried one are ignored. Score vectors are
-softmax probabilities computed in float64 so repeated runs and downstream
-score recomputations are exactly reproducible.
+reported metrics aggregate 2x the split size. These are the rows
+``data.augment_reverse`` gives for the split, tail queries first. Ranking is
+filtered: known correct answers other than the queried one are ignored.
+Score vectors are softmax probabilities computed in float64 so repeated runs
+and downstream score recomputations are exactly reproducible.
 
 All four reports (plain and enhanced, entity and cascade) come from one pass,
 ``evaluate_variants``: each chunk of queries is scored once, and its
@@ -37,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import IndexedDataset, _span_items, atomic_write
+from .data import IndexedDataset, _span_items, atomic_write, augment_reverse
 from .model import ModelParams, _pin_malloc, entity_step, forward_batch, logits
 
 
@@ -132,8 +133,10 @@ def relation_prob_matrix(
     entity, raised to alpha. Entities are scored ``chunk`` at a time on
     ``workers`` threads, one ``(chunk, R)`` block each, and each chunk's
     columns are raised straight into its slice of the block, so the full
-    ``(N, R)`` matrix is never built.
+    ``(N, R)`` matrix is never built. An alpha outside (0, 1) raises
+    ``ValueError`` before any entity is scored.
     """
+    EnhanceConfig(alpha=alpha)  # validates alpha
     relations = np.asarray(relations, dtype=np.int64)
     power = np.empty((len(relations), params.num_entities))
 
@@ -179,12 +182,14 @@ def enhance_scores(p_orig, reverse_probs, alpha: float) -> np.ndarray:
     reverse evidence crushes a candidate while strong evidence barely moves
     it, widening the gap between plausible and implausible entities.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    EnhanceConfig(alpha=alpha)  # validates alpha
     p_orig = np.asarray(p_orig, dtype=np.float64)
     if np.any(p_orig < 0):
         raise ValueError("original scores must be non-negative")
-    return np.asarray(reverse_probs, dtype=np.float64) ** alpha * p_orig
+    reverse_probs = np.asarray(reverse_probs, dtype=np.float64)
+    if np.any(reverse_probs < 0):
+        raise ValueError("reverse probabilities must be non-negative")
+    return reverse_probs ** alpha * p_orig
 
 
 def map_chunks(fn, total: int, chunk: int, workers: int):
@@ -255,68 +260,7 @@ def _beats_gold(block, golds, pessimistic: bool) -> np.ndarray:
     return block >= gold_scores if pessimistic else block > gold_scores
 
 
-def _both_direction_queries(dataset: IndexedDataset, split: str):
-    triples = dataset.split(split)
-    if len(triples) == 0:
-        raise ValueError(f"split {split!r} has no triples to evaluate")
-    rev = dataset.vocab.reverse_of
-    subjects = np.concatenate([triples[:, 0], triples[:, 2]])
-    relations = np.concatenate([triples[:, 1], rev[triples[:, 1]]])
-    golds = np.concatenate([triples[:, 2], triples[:, 0]])
-    return subjects, relations, golds
-
-
 VARIANTS = ("entity_plain", "entity_enhanced", "cascade_plain", "cascade_enhanced")
-
-
-def _reverse_power_block(params, relations, rev, alpha: float, workers: int):
-    """The ``(U, N)`` block of ``reverse_prob ** alpha`` over the U distinct
-    reverse relations that ``relations`` use, and each query's row in it."""
-    used, row_of = np.unique(rev[relations], return_inverse=True)
-    return relation_prob_matrix(params, used, alpha, workers=workers), row_of
-
-
-def _rank_pass(params, dataset, *, plain, alpha, relation, split, chunk, pessimistic, workers):
-    """One scoring of each chunk of the split's queries, ranked every way asked.
-
-    Returns a dict with the filtered entity ranks ``"plain"`` (if ``plain``),
-    ``"enhanced"`` (if ``alpha`` is not None) and the unfiltered relation
-    ranks ``"relation"`` (if ``relation``). A chunk's ``chunk`` x N scores
-    are ranked every way and dropped before its thread scores the next
-    chunk. Enhancing adds the reverse-power block.
-    """
-    subjects, relations, golds = _both_direction_queries(dataset, split)
-    lo, hi = dataset.answer_spans(subjects, relations)
-    objects = dataset.answer_objects
-
-    def rank_span(span):
-        q = slice(*span)
-        probs = entity_scores_batch(params, subjects[q], relations[q])
-        out = {}
-        if plain:
-            out["plain"] = filtered_ranks(
-                probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
-            )
-        if alpha is not None:
-            for i, row in enumerate(power_row[q]):
-                np.multiply(power[row], probs[i], out=probs[i])
-            out["enhanced"] = filtered_ranks(
-                probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
-            )
-        if relation:
-            out["relation"] = unfiltered_ranks(
-                relation_scores_batch(params, subjects[q]), relations[q], pessimistic=pessimistic
-            )
-        return out
-
-    # made first, so a bad chunk or worker count fails before the block is built
-    spans = map_chunks(rank_span, len(subjects), chunk, workers)
-    if alpha is not None:
-        power, power_row = _reverse_power_block(
-            params, relations, dataset.vocab.reverse_of, alpha, workers
-        )
-    parts = list(spans)
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def evaluate_variants(
@@ -333,10 +277,14 @@ def evaluate_variants(
 ) -> dict[str, MetricsReport]:
     """Reports for the named ``VARIANTS`` from one pass over the split.
 
-    Each chunk is scored once, the reverse-power block is built at most once,
-    and only the ranks the asked-for variants need are computed. ``entity_*`` are
-    filtered entity ranks; ``cascade_*`` multiply them by the unfiltered
-    relation rank; ``*_enhanced`` rescore with reverse-relation evidence.
+    ``entity_*`` are filtered entity ranks; ``cascade_*`` multiply them by
+    the unfiltered relation rank; ``*_enhanced`` rescore with reverse-relation
+    evidence. Each chunk of queries is scored once and ranked only the ways
+    the asked-for variants need (``kinds``), and its ``chunk`` x N scores are
+    dropped before its thread scores the next chunk. Enhancing adds the
+    ``(U, N)`` reverse-power block, built once; ``relation_prob_matrix``
+    rejects a bad alpha there, before any chunk is scored. A pass without an
+    enhanced variant never uses alpha.
     """
     variants = list(variants)
     if not variants:
@@ -344,16 +292,43 @@ def evaluate_variants(
     unknown = sorted(set(variants) - set(VARIANTS))
     if unknown:
         raise ValueError(f"unknown evaluation variants: {unknown}")
-    enhanced = any(name.endswith("_enhanced") for name in variants)
-    if enhanced:
-        EnhanceConfig(alpha=alpha)  # validates alpha
-    ranks = _rank_pass(
-        params, dataset,
-        plain=any(name.endswith("_plain") for name in variants),
-        alpha=alpha if enhanced else None,
-        relation=any(name.startswith("cascade_") for name in variants),
-        split=split, chunk=chunk, pessimistic=pessimistic, workers=workers,
-    )
+    kinds = {name.split("_")[1] for name in variants}
+    if any(name.startswith("cascade_") for name in variants):
+        kinds.add("relation")
+    triples = dataset.split(split)
+    if len(triples) == 0:
+        raise ValueError(f"split {split!r} has no triples to evaluate")
+    subjects, relations, golds = augment_reverse(triples, dataset.vocab).T
+    lo, hi = dataset.answer_spans(subjects, relations)
+    objects = dataset.answer_objects
+
+    def rank_span(span):
+        q = slice(*span)
+        probs = entity_scores_batch(params, subjects[q], relations[q])
+        ranks = {}
+        if "plain" in kinds:
+            ranks["plain"] = filtered_ranks(
+                probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
+            )
+        if "enhanced" in kinds:
+            for i, row in enumerate(power_row[q]):
+                np.multiply(power[row], probs[i], out=probs[i])
+            ranks["enhanced"] = filtered_ranks(
+                probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
+            )
+        if "relation" in kinds:
+            ranks["relation"] = unfiltered_ranks(
+                relation_scores_batch(params, subjects[q]), relations[q], pessimistic=pessimistic
+            )
+        return ranks
+
+    # made first, so a bad chunk or worker count fails before the block is built
+    spans = map_chunks(rank_span, len(subjects), chunk, workers)
+    if "enhanced" in kinds:
+        used, power_row = np.unique(dataset.vocab.reverse_of[relations], return_inverse=True)
+        power = relation_prob_matrix(params, used, alpha, workers=workers)
+    parts = list(spans)
+    ranks = {kind: np.concatenate([part[kind] for part in parts]) for kind in kinds}
     reports = {}
     for name in variants:
         family, kind = name.split("_")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import equalized_pair, loss_and_grad_map, make_params
+from helpers import equalized_pair, loss_and_grad_map, make_params
 from test_evaluation import oracle_evaluate, oracle_filtered_rank, random_toy_dataset
 from test_beam import oracle_pairs, oracle_triples
 

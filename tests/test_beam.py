@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_params
+from helpers import make_params
 from dskg import beam
 from dskg.beam import (
     BeamConfig,

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import container_payload, mutations
+from helpers import container_payload, mutations
 from test_data import oracle_audit_inverse_pairs
 from dskg import beam, cli, data, evaluation, model, toygen, training
 from dskg.config import parse_config_file, resolve_options, write_resolved
@@ -467,6 +471,25 @@ class TestPredictTriples:
         assert not (out / "curve.tsv").exists()
 
 
+    def test_only_training_facts_print_na_precision(self, tmp_path, capsys):
+        # Two entities and one relation, all four pairs known: each of the 8
+        # possible outputs (both orientations) is a training fact, so no
+        # precision is defined.
+        (tmp_path / "train.txt").write_text("a\tr\ta\na\tr\tb\nb\tr\ta\nb\tr\tb\n")
+        (tmp_path / "valid.txt").write_text("")
+        (tmp_path / "test.txt").write_text("")
+        checkpoint = tmp_path / "model.dskg"
+        model.save_checkpoint(model.init_params(2, 2, 4, 1), checkpoint)
+        out = tmp_path / "pred"
+        code, stdout, err = run_cli(
+            capsys, "predict-triples", "--checkpoint", str(checkpoint),
+            "--data", str(tmp_path), "--out", str(out),
+        )
+        assert (code, stdout) == (0, "triples=8\nfinal_precision=NA\n"), err
+        rows = (out / "curve.tsv").read_text().strip().split("\n")[1:]
+        assert rows and all(row.split("\t")[4] == "NA" for row in rows)
+
+
 class TestWorkers:
     @pytest.mark.parametrize(
         "command, workers", [("eval", "0"), ("eval", "-2"),
@@ -639,6 +662,23 @@ class TestAuditInverse:
         assert [p.name for p in out_file.parent.iterdir()] == ["audit.tsv"]
 
 
+    def test_broken_stdout_pipe_exits_1_quietly(self, tmp_path, capsys, monkeypatch):
+        toy = tmp_path / "toy"
+        assert run_cli(capsys, "gen-toy", "--out", str(toy))[0] == 0
+        writes = []
+
+        class ClosedPipe:
+            def write(self, text):
+                writes.append(text)
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(["audit-inverse", "--data", str(toy)])
+        monkeypatch.undo()
+        assert code == 1 and len(writes) == 1  # the first audit row hit the closed pipe
+        assert capsys.readouterr() == ("", "")
+
+
 class TestConfigHelpers:
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -730,3 +770,18 @@ class TestUsageErrors:
     def test_no_command(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m dskg`` runs the same ``main`` and exits with its code."""
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["frobnicate"], 2)],
+                             ids=["help", "unknown_command"])
+    def test_exit_codes(self, argv, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        result = subprocess.run([sys.executable, "-m", "dskg", *argv], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == code, result.stderr
+        assert ("usage: dskg" in result.stdout) if code == 0 else ("usage: dskg" in result.stderr)

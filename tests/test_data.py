@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import container_payload, mutation_failures
+from helpers import container_payload, mutation_failures
 from dskg import data
 from dskg.data import (
     RawTriple,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_params
+from helpers import make_params
 from dskg import cli, evaluation, model
 from dskg.data import RawTriple, augment_reverse, index_dataset, save_dataset
 from dskg.evaluation import (
@@ -326,8 +326,9 @@ class TestEnhancement:
         assert np.array_equal(np.argsort(refined), np.argsort(p_orig))
 
     def test_alpha_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             enhance_scores([0.1], [0.1], alpha=1.0)
+        assert str(err.value) == "alpha must be in (0, 1), got 1.0"
         with pytest.raises(ValueError):
             EnhanceConfig(alpha=0.0, enabled=True)
         EnhanceConfig(alpha=0.0, enabled=False)  # unused alpha unchecked
@@ -336,6 +337,17 @@ class TestEnhancement:
         with pytest.raises(ValueError) as err:
             enhance_scores([0.5, -0.1], [0.5, 0.5], alpha=0.5)
         assert str(err.value) == "original scores must be non-negative"
+
+    def test_negative_reverse_probability_rejected(self):
+        with pytest.raises(ValueError) as err:
+            enhance_scores([0.5], [-0.1], alpha=1 / 3)
+        assert str(err.value) == "reverse probabilities must be non-negative"
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_relation_prob_matrix_rejects_bad_alpha(self, alpha):
+        params = make_params()
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got"):
+            evaluation.relation_prob_matrix(params, [0], alpha)
 
     def test_query_enhancement_uses_model_reverse_evidence(self):
         rng = np.random.default_rng(4)
@@ -546,6 +558,11 @@ class TestReportFormat:
         assert 0 < report.mrr <= 100
         assert report.mr >= 1
 
+    def test_no_ranks_is_an_error(self):
+        with pytest.raises(ValueError) as err:
+            metrics_from_ranks([])
+        assert str(err.value) == "no queries to aggregate"
+
     def test_failed_rank_dump_leaves_the_previous_file(self, tiny_dataset, tmp_path):
         path = tmp_path / "ranks.tsv"
         path.write_bytes(b"previous\n")
@@ -661,6 +678,19 @@ class TestScoringNames:
             evaluation.evaluate_variants(params, ds, ["entity_fancy"])
         assert str(err.value) == "unknown evaluation variants: ['entity_fancy']"
         assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_alpha_is_named_before_any_scoring(self, calls, workers):
+        ds, params = self.setup_model()
+        with pytest.raises(ValueError) as err:
+            evaluation.evaluate_variants(params, ds, alpha=1.5, chunk=self.CHUNK, workers=workers)
+        assert str(err.value) == "alpha must be in (0, 1), got 1.5"
+        # the reverse-power block is asked for, and refuses, before any query is scored
+        assert calls["matrix"] == 1
+        assert calls["entity_rows"] == calls["relation_rows"] == []
+        # a plain-only pass never uses alpha, so never checks it
+        evaluation.evaluate_variants(params, ds, ["entity_plain", "cascade_plain"], alpha=1.5)
+        assert calls["matrix"] == 1 and calls["entity_rows"]
 
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_chunk_below_one_is_named_before_any_scoring(self, calls, chunk):

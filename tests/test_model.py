@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (
+from helpers import (
     container_payload,
     equalized_pair,
     make_params,
@@ -160,7 +160,7 @@ def assert_same_bits(got, want):
 
 class TestInPlaceStep:
     """The step's in-place gates and ``out=`` gate gradients give the bits of
-    the whole-array reference expressions in ``conftest``."""
+    the whole-array reference expressions in ``helpers``."""
 
     @pytest.mark.parametrize("rows, k", [(1, 3), (37, 16)])
     @pytest.mark.parametrize("with_dc", [False, True])

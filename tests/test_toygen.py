@@ -1,7 +1,27 @@
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from dskg.data import index_dataset
 from dskg.toygen import INVERSE_FAMILIES, ToyConfig, generate_toy_kg, write_toy_kg
+
+
+def held_out_guarded(config):
+    """Generate the graph for ``config``, check what the holdout guard
+    promises, and return (held, target): every held-out fact's entities and
+    relation keep a training occurrence, and no fact is held out together
+    with its twin."""
+    kg = generate_toy_kg(config)
+    inverse_of = {name: twin for pair in INVERSE_FAMILIES for name, twin in (pair, pair[::-1])}
+    held = {(t.subject, t.relation, t.object) for t in kg.valid + kg.test}
+    train = [(t.subject, t.relation, t.object) for t in kg.train]
+    entities = {e for s, _, o in train for e in (s, o)}
+    relations = {r for _, r, _ in train}
+    for s, r, o in held:
+        assert {s, o} <= entities and r in relations
+        assert (o, inverse_of[r], s) not in held
+    target = round(config.holdout_fraction * (len(train) + len(held)))
+    assert len(held) <= target
+    return len(held), target
 
 
 class TestGenerator:
@@ -78,6 +98,27 @@ class TestGenerator:
     def test_one_count_may_be_zero(self):
         kg = generate_toy_kg(ToyConfig(num_entities=20, num_chains=0, num_extra_pairs=10))
         assert {t.relation for t in kg.train} == {"paired_with", "paired_back"}
+
+    def test_guard_keeps_every_fact_of_a_one_chain_graph(self):
+        # Each relation occurs once, so no fact can leave training.
+        kg = generate_toy_kg(ToyConfig(num_entities=3, num_chains=1, num_extra_pairs=0,
+                                       holdout_fraction=0.9))
+        assert (len(kg.train), kg.valid, kg.test) == (6, [], [])
+
+    @pytest.mark.parametrize("config", [
+        ToyConfig(6, 4, 3, 0.6, seed=1),
+        ToyConfig(5, 2, 2, 0.7, seed=3),
+    ], ids=["6_4_3_0.6_seed1", "5_2_2_0.7_seed3"])
+    def test_guard_holds_fewer_facts_than_the_target(self, config):
+        held, target = held_out_guarded(config)
+        assert 0 < held < target
+
+    @given(st.integers(3, 7), st.integers(0, 4), st.integers(0, 4),
+           st.floats(0.0, 0.95), st.integers(0, 5))
+    @example(5, 3, 2, 0.5, 7)
+    def test_guard_holds_on_small_graphs(self, entities, chains, extra, fraction, seed):
+        assume(chains or extra)
+        held_out_guarded(ToyConfig(entities, chains, extra, fraction, seed))
 
     def test_write_files(self, tmp_path):
         kg = generate_toy_kg(ToyConfig(num_entities=20, num_chains=10, num_extra_pairs=5))

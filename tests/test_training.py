@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import equalized_pair, loss_and_grad_map, make_params, scalar_lstm_oracle
+from helpers import equalized_pair, loss_and_grad_map, make_params, scalar_lstm_oracle
 from dskg import data, model, training
 from dskg.beam import BeamConfig, stage1_pairs, stage2_triples
 from dskg.data import RawTriple, index_dataset
