@@ -419,6 +419,87 @@ class TestEval:
         ]
 
 
+class TestRankDumpOracle:
+    """Every ``eval --dump-ranks`` row on the README toy dataset, against the
+    one-query rank definitions over the exact float64 scores.
+
+    The oracle scores the queries in the CLI's chunks of 256, so its logits
+    come from the same GEMM calls, and ranks each query on its own with
+    ``filtered_rank`` / ``unfiltered_rank``. Ranks, not file hashes, are
+    compared, so the check holds on any BLAS build.
+    """
+
+    @pytest.fixture(scope="class")
+    def toy_flow(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("toy_flow")
+        toy, prep = root / "toy", root / "prep"
+        assert cli.main(["gen-toy", "--out", str(toy)]) == 0
+        assert cli.main(["prepare", "--train", str(toy / "train.txt"), "--valid",
+                         str(toy / "valid.txt"), "--test", str(toy / "test.txt"),
+                         "--out", str(prep)]) == 0
+        cache = prep / "dataset.dskg"
+        vocab = data.load_dataset(cache).vocab
+        params = model.init_params(vocab.num_entities, vocab.num_relations, 8, 1, seed=11)
+        model.save_checkpoint(params, root / "seeded.dskg")
+        # entity output rows repeated in pairs: each entity's logit ties its twin's
+        params.entity_out_w[1::2] = params.entity_out_w[0::2]
+        model.save_checkpoint(params, root / "paired.dskg")
+        return cache, root
+
+    @staticmethod
+    def oracle_rows(params, dataset, split, pessimistic, chunk=256):
+        """Each variant's dump lines, one query at a time; and how many queries
+        tie their gold with a surviving competitor."""
+        vocab = dataset.vocab
+        triples = dataset.split(split)
+        queries = data.augment_reverse(triples, vocab)
+        alpha = evaluation.EnhanceConfig().alpha
+        power = evaluation.relation_prob_matrix(params, np.arange(vocab.num_relations), alpha)
+        rows = {name: [] for name in evaluation.VARIANTS}
+        ties = 0
+        for lo in range(0, len(queries), chunk):
+            part = queries[lo:lo + chunk]
+            probs = evaluation.entity_scores_batch(params, part[:, 0], part[:, 1])
+            relation_probs = evaluation.relation_scores_batch(params, part[:, 0])
+            for i, (s, r, o) in enumerate(part):
+                qi = lo + i
+                a, b, c = triples[qi % len(triples)]
+                line = (f"{vocab.entity_labels[a]}\t{vocab.relation_labels[b]}\t"
+                        f"{vocab.entity_labels[c]}\t{'tail' if qi < len(triples) else 'head'}")
+                known = dataset.known_answers(s, r)
+                relation_rank = evaluation.unfiltered_rank(relation_probs[i], r,
+                                                           pessimistic=pessimistic)
+                enhanced = power[vocab.reverse_of[r]] * probs[i]
+                for kind, scores in (("plain", probs[i]), ("enhanced", enhanced)):
+                    rank = evaluation.filtered_rank(scores, o, known, pessimistic=pessimistic)
+                    rows[f"entity_{kind}"].append(f"{line}\t{rank}\t-")
+                    rows[f"cascade_{kind}"].append(
+                        f"{line}\t{rank * relation_rank}\t{relation_rank}")
+                survivors = np.setdiff1d(np.arange(len(probs[i])), known)
+                ties += bool(np.any(probs[i][survivors] == probs[i][o]))
+        return rows, ties
+
+    @pytest.mark.parametrize("pessimistic", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("split", ["test", "valid"])
+    @pytest.mark.parametrize("checkpoint", ["seeded", "paired"])
+    def test_every_row_matches_the_oracle(self, toy_flow, tmp_path, capsys, checkpoint, split,
+                                          workers, pessimistic):
+        cache, root = toy_flow
+        path = root / f"{checkpoint}.dskg"
+        out = tmp_path / "reports"
+        argv = ["eval", "--checkpoint", str(path), "--data", str(cache), "--out", str(out),
+                "--split", split, "--workers", str(workers), "--dump-ranks"]
+        code, _, err = run_cli(capsys, *argv, *(["--pessimistic"] if pessimistic else []))
+        assert code == 0, err
+        expected, ties = self.oracle_rows(model.load_checkpoint(path), data.load_dataset(cache),
+                                          split, pessimistic)
+        assert (ties > 0) == (checkpoint == "paired")
+        for name in evaluation.VARIANTS:
+            lines = (out / f"{name}.ranks.tsv").read_text(encoding="utf-8").splitlines()
+            assert lines == expected[name], name
+
+
 class TestPredictTriples:
     def test_outputs_and_formats(self, trained, tmp_path, capsys):
         dataset, checkpoint = trained
