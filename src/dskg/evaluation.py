@@ -6,31 +6,57 @@ reported metrics aggregate 2x the split size. These are the rows
 ``data.augment_reverse`` gives for the split, tail queries first. Ranking is
 filtered: known correct answers other than the queried one are ignored.
 Score vectors are softmax probabilities computed in float64 so repeated runs
-and downstream score recomputations are exactly reproducible.
+and downstream score recomputations are exactly reproducible, and a rank is
+the rank those probabilities give.
 
 All four reports (plain and enhanced, entity and cascade) come from one pass,
-``evaluate_variants``: each chunk of queries is scored once, and its
-``(chunk, N)`` probability block is ranked in one step against the known
-answers, which ``IndexedDataset.answer_spans`` finds in the sorted triple
-keys. Enhancement needs ``p(r | e) ** alpha`` only for the reverse relations
-the queries use: ``relation_prob_matrix`` fills that ``(U, N)`` block one
-entity chunk at a time, so no ``(N, R)`` relation matrix is built, and each
-query's row multiplies its probabilities in place. Memory is bounded by the
-chunk: each worker thread scores a chunk into fresh logits and probability
-arrays and is done with them before it takes the next, plus that ``(U, N)``
-block. ``map_chunks``, behind every pass, pins glibc's malloc thresholds
-(``model._pin_malloc``), so what one chunk frees is reused by the next rather
-than faulted in again. Every score passes through ``_softmax64``, which
-raises ValueError on a row it cannot normalize (a NaN or +inf logit, or all
--inf), so a diverged model never reports a perfect rank.
-``evaluate_entity_prediction`` and ``evaluate_cascade`` are views of the same
-pass that compute only what their one report needs. ``filtered_rank`` and
-``unfiltered_rank`` remain the one-query definitions the batched ranks are
-tested against.
-"""
+``evaluate_variants``. Each chunk of queries is scored once, into float32
+logits from one GEMM (``entity_logits_batch``), and most rows are ranked
+without building probabilities, from a certified rank: one the float64
+softmax provably cannot change.
 
+- A plain row is certified when its gold logit g has |g| > 1e-6 (1 + |top|)
+  and g - top > -680, top being the row's largest logit. Distinct float32
+  values near g then lie ~3e-8 |g| apart, a gap the float64 subtract, exp
+  and divide cannot close, and exact ties stay ties, so the rank is counted
+  on the logits.
+- An enhanced row is ranked on ``T = alpha * log p(r' | e) + logit(e)``, r'
+  the query's reverse relation, formed as one float64 N-vector at a time.
+  It is certified when T at the gold is finite, the gold's probability is a
+  normal float64 (T_g - top > -680 + log N), and no other entry lies within
+  eps = 1e-11 (1 + |T_g| + |top|) of T_g.
+
+A row falls back to the exact path, its float64 softmax (times its
+``relation_prob_matrix`` row when enhanced) ranked by ``filtered_ranks``,
+when its certificate fails: float64 logits (``--precision high``; no plain
+row is certified from them), a gold logit near zero or more than 680 below
+the top, an exact or near tie of T, or a reverse relation whose
+``p(r' | e)`` falls below e^-700 for some entity, where its float64 power
+may no longer be ``exp(alpha * log p)``. The pass builds the ``(U, N)``
+log-evidence block of ``log_evidence_block``, ``alpha * log p(r' | e)`` for
+the U reverse relations the queries use, in place of the ``p ** alpha``
+block; it builds ``relation_prob_matrix``'s block at most once, and only
+when some enhanced row falls back. Ranking keeps no ``(chunk, N)`` float64
+array: a chunk's float32 logits, one N-vector of T per enhanced row, and
+the probabilities of its fallback rows.
+
+Known answers come from ``IndexedDataset.answer_spans``, in the sorted
+triple keys. Memory is bounded by the chunk: each worker thread scores a
+chunk into fresh arrays and is done with them before it takes the next,
+plus the ``(U, N)`` block. ``map_chunks``, behind every pass, pins glibc's
+malloc thresholds (``model._pin_malloc``), so what one chunk frees is reused
+by the next rather than faulted in again. A row whose largest logit is not
+finite (a NaN or +inf logit, or all -inf) raises ValueError, as
+``_softmax64`` does, so a diverged model never reports a perfect rank.
+``evaluate_entity_prediction`` and ``evaluate_cascade`` are views of the same
+pass that compute only what their one report needs. ``entity_scores_batch``,
+``relation_scores_batch``, ``relation_prob_matrix`` and ``filtered_ranks``
+stay the exact path, and ``filtered_rank`` and ``unfiltered_rank`` remain
+the one-query definitions the batched ranks are tested against.
+"""
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -107,10 +133,15 @@ def _softmax64(raw: np.ndarray) -> np.ndarray:
     return scores
 
 
+def entity_logits_batch(params: ModelParams, subjects, relations) -> np.ndarray:
+    """Entity logit rows, in the model's dtype, for (s, r, ?) queries: one GEMM."""
+    _, h_r, _ = forward_batch(params, subjects, relations)
+    return logits(params, h_r, "entity")
+
+
 def entity_scores_batch(params: ModelParams, subjects, relations) -> np.ndarray:
     """Probability rows over all entities for (s, r, ?) queries."""
-    _, h_r, _ = forward_batch(params, subjects, relations)
-    return _softmax64(logits(params, h_r, "entity"))
+    return _softmax64(entity_logits_batch(params, subjects, relations))
 
 
 def relation_scores_batch(params: ModelParams, subjects) -> np.ndarray:
@@ -147,6 +178,97 @@ def relation_prob_matrix(
 
     deque(map_chunks(fill, params.num_entities, chunk, workers), maxlen=0)
     return power
+
+
+def log_evidence_block(
+    params: ModelParams, relations, alpha: float, chunk: int = 1024, workers: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """``alpha * log p(r | e)`` for the given relations, as a C-contiguous
+    float64 ``(len(relations), N)`` block, and per relation whether some
+    entity's ``p(r | e)`` is below ``e ** -700``.
+
+    The log-space twin of ``relation_prob_matrix``: each entity chunk's
+    relation logits take a log-softmax, ``(l - top) - log(sum(exp(l - top)))``,
+    with no divide and no power. Near ``e ** -708`` a float64 probability
+    stops being a normal number, and the power of a subnormal or zero
+    probability is not ``exp(alpha * log p)``; the flag, set below
+    ``e ** -700``, sends the queries of such a relation to the exact ranks.
+    An alpha outside (0, 1) raises ``ValueError`` before any entity is
+    scored, and a non-finite logit row raises as in ``_softmax64``.
+    """
+    EnhanceConfig(alpha=alpha)  # validates alpha
+    relations = np.asarray(relations, dtype=np.int64)
+    block = np.empty((len(relations), params.num_entities))
+
+    def fill(span):
+        lo, hi = span
+        h_s, *_ = entity_step(params, np.arange(lo, hi))
+        shifted = logits(params, h_s, "relation").astype(np.float64)
+        top = shifted.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(top)):
+            raise ValueError("cannot rank non-finite scores")
+        shifted -= top
+        log_probs = shifted[:, relations]
+        log_probs -= np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
+        np.multiply(log_probs.T, alpha, out=block[:, lo:hi])
+        return (log_probs < _UNDERFLOW).any(axis=0)
+
+    flags = list(map_chunks(fill, params.num_entities, chunk, workers))
+    return block, np.logical_or.reduce(flags)
+
+
+# Exact ranks need each compared probability to be a normal float64.
+# exp(-680) leaves room below it for the division by a row sum (at most N)
+# and the enhancing product; exp(-700) is the floor for p(r | e).
+_GAP_FLOOR = -680.0
+_UNDERFLOW = -700.0
+
+
+def _plain_certified(raw, top, golds) -> np.ndarray:
+    """Rows of float32 logits whose float64 softmax keeps the gold's rank.
+
+    Distinct float32 values near a gold logit g lie at least ~3e-8 |g|
+    apart. With |g| > 1e-6 (1 + |top|) and g - top > -680 no float64
+    subtract, exp or divide can merge or flip such a gap, and exact ties stay
+    ties, so the rank from the logits is the rank from the probabilities.
+    Float64 logits have no such gap and are never certified.
+    """
+    if raw.dtype != np.float32:
+        return np.zeros(len(golds), dtype=bool)
+    gold = raw[np.arange(len(golds)), golds].astype(np.float64)
+    top = top.astype(np.float64)
+    return (np.abs(gold) > 1e-6 * (1.0 + np.abs(top))) & (gold - top > _GAP_FLOOR)
+
+
+def _certified_enhanced_rank(evidence, raw, top: float, gold: int, known) -> int | None:
+    """Filtered rank of ``gold`` in ``evidence + raw``, or None unless certified.
+
+    ``evidence + raw`` is the enhanced log-probability row up to one
+    constant. The rank holds for the float64 product ``p(r | e) ** alpha *
+    p(e)`` when the gold's value is finite, its probability a normal float64,
+    and no other entry lies within ``eps`` of it: the rounding of either path
+    is far below ``eps``. Exact ties are never certified.
+    """
+    total = evidence + raw
+    at_gold = total[gold]
+    if not (np.isfinite(at_gold) and at_gold - top > _GAP_FLOOR + np.log(len(total))):
+        return None
+    eps = 1e-11 * (1.0 + abs(at_gold) + abs(top))
+    above = total > at_gold + eps
+    beaten = np.count_nonzero(above)
+    if np.count_nonzero(total >= at_gold - eps) != beaten + 1:
+        return None
+    return 1 + beaten - np.count_nonzero(above[known])
+
+
+def _exact_ranks(raw, power, golds, lo, hi, objects, *, pessimistic: bool) -> np.ndarray:
+    """``filtered_ranks`` of the float64 softmax of ``raw``, times ``power``
+    (rows of ``relation_prob_matrix``) unless it is None: the ranks of rows
+    no certificate covers."""
+    probs = _softmax64(raw)
+    if power is not None:
+        probs *= power
+    return filtered_ranks(probs, golds, lo, hi, objects, pessimistic=pessimistic)
 
 
 def filtered_rank(scores, gold: int, known, *, pessimistic: bool = False) -> int:
@@ -237,16 +359,23 @@ def filtered_ranks(block, golds, lo, hi, objects, *, pessimistic: bool = False) 
     """
     golds = np.asarray(golds, dtype=np.int64)
     better = _beats_gold(block, golds, pessimistic)
-    owner, at = _span_items(lo, hi)  # the row of each known answer, and its index
+    owner, cols = _known_answers(golds, lo, hi, objects)
+    # every gold is among its row's known answers, so it is never counted
+    known_better = np.bincount(owner[better[owner, cols]], minlength=len(golds))
+    return 1 + np.count_nonzero(better, axis=1) - known_better
+
+
+def _known_answers(golds, lo, hi, objects) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the entity of every known answer in the spans; raises
+    ValueError if some row's gold is not among its known answers."""
+    owner, at = _span_items(lo, hi)
     cols = objects[at]
     missing = np.ones(len(golds), dtype=bool)
     missing[owner[cols == golds[owner]]] = False
     if missing.any():
         gold = golds[np.argmax(missing)]
         raise ValueError(f"gold label {gold} missing from the known-answer set")
-    # every gold is among its row's known answers, so it is never counted
-    known_better = np.bincount(owner[better[owner, cols]], minlength=len(golds))
-    return 1 + np.count_nonzero(better, axis=1) - known_better
+    return owner, cols
 
 
 def unfiltered_ranks(block, golds, *, pessimistic: bool = False) -> np.ndarray:
@@ -258,6 +387,13 @@ def unfiltered_ranks(block, golds, *, pessimistic: bool = False) -> np.ndarray:
 def _beats_gold(block, golds, pessimistic: bool) -> np.ndarray:
     gold_scores = block[np.arange(len(golds)), golds][:, None]
     return block >= gold_scores if pessimistic else block > gold_scores
+
+
+def _queried_triples(dataset: IndexedDataset, split: str) -> np.ndarray:
+    """The split's triples, each once: ``train`` holds both orientations, so
+    its queries come from ``raw_train``."""
+    triples = dataset.split(split)
+    return dataset.raw_train if split == "train" else triples
 
 
 VARIANTS = ("entity_plain", "entity_enhanced", "cascade_plain", "cascade_enhanced")
@@ -279,12 +415,13 @@ def evaluate_variants(
 
     ``entity_*`` are filtered entity ranks; ``cascade_*`` multiply them by
     the unfiltered relation rank; ``*_enhanced`` rescore with reverse-relation
-    evidence. Each chunk of queries is scored once and ranked only the ways
-    the asked-for variants need (``kinds``), and its ``chunk`` x N scores are
-    dropped before its thread scores the next chunk. Enhancing adds the
-    ``(U, N)`` reverse-power block, built once; ``relation_prob_matrix``
-    rejects a bad alpha there, before any chunk is scored. A pass without an
-    enhanced variant never uses alpha.
+    evidence. Each chunk of queries is scored once, into logits, and ranked
+    only the ways the asked-for variants need (``kinds``): certified rows
+    from the logits, the rest from the float64 probabilities (see the module
+    docstring). Its ``chunk`` x N logits are dropped before its thread scores
+    the next chunk. Enhancing adds the ``(U, N)`` log-evidence block, built
+    once; ``log_evidence_block`` rejects a bad alpha there, before any chunk
+    is scored. A pass without an enhanced variant never uses alpha.
     """
     variants = list(variants)
     if not variants:
@@ -295,27 +432,54 @@ def evaluate_variants(
     kinds = {name.split("_")[1] for name in variants}
     if any(name.startswith("cascade_") for name in variants):
         kinds.add("relation")
-    triples = dataset.split(split)
+    triples = _queried_triples(dataset, split)
     if len(triples) == 0:
         raise ValueError(f"split {split!r} has no triples to evaluate")
     subjects, relations, golds = augment_reverse(triples, dataset.vocab).T
     lo, hi = dataset.answer_spans(subjects, relations)
     objects = dataset.answer_objects
+    exact_power = []  # relation_prob_matrix's block, once some enhanced row needs it
+    exact_power_lock = threading.Lock()
+
+    def exact_ranks(raw, q, rows, enhanced):
+        power = None
+        if enhanced:
+            with exact_power_lock:
+                if not exact_power:
+                    exact_power.append(relation_prob_matrix(params, used, alpha))
+            power = exact_power[0][evidence_row[q][rows]]
+        return _exact_ranks(raw[rows], power, golds[q][rows], lo[q][rows], hi[q][rows],
+                            objects, pessimistic=pessimistic)
 
     def rank_span(span):
         q = slice(*span)
-        probs = entity_scores_batch(params, subjects[q], relations[q])
+        raw = entity_logits_batch(params, subjects[q], relations[q])
+        top = raw.max(axis=1)
+        # _softmax64's condition: a NaN or +inf logit, or a row of all -inf
+        if not np.all(np.isfinite(top)):
+            raise ValueError("cannot rank non-finite scores")
+        _known_answers(golds[q], lo[q], hi[q], objects)  # raises on a gold it lacks
         ranks = {}
         if "plain" in kinds:
             ranks["plain"] = filtered_ranks(
-                probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
+                raw, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
             )
+            rows = np.flatnonzero(~_plain_certified(raw, top, golds[q]))
+            if rows.size:
+                ranks["plain"][rows] = exact_ranks(raw, q, rows, False)
         if "enhanced" in kinds:
-            for i, row in enumerate(power_row[q]):
-                np.multiply(power[row], probs[i], out=probs[i])
-            ranks["enhanced"] = filtered_ranks(
-                probs, golds[q], lo[q], hi[q], objects, pessimistic=pessimistic
-            )
+            ranks["enhanced"] = np.empty(len(raw), dtype=np.int64)
+            rows = []
+            for i, (u, gold, a, b) in enumerate(zip(evidence_row[q], golds[q], lo[q], hi[q])):
+                rank = None if underflow[u] else _certified_enhanced_rank(
+                    evidence[u], raw[i], float(top[i]), gold, objects[a:b]
+                )
+                if rank is None:
+                    rows.append(i)
+                else:
+                    ranks["enhanced"][i] = rank
+            if rows:
+                ranks["enhanced"][rows] = exact_ranks(raw, q, np.array(rows), True)
         if "relation" in kinds:
             ranks["relation"] = unfiltered_ranks(
                 relation_scores_batch(params, subjects[q]), relations[q], pessimistic=pessimistic
@@ -325,8 +489,8 @@ def evaluate_variants(
     # made first, so a bad chunk or worker count fails before the block is built
     spans = map_chunks(rank_span, len(subjects), chunk, workers)
     if "enhanced" in kinds:
-        used, power_row = np.unique(dataset.vocab.reverse_of[relations], return_inverse=True)
-        power = relation_prob_matrix(params, used, alpha, workers=workers)
+        used, evidence_row = np.unique(dataset.vocab.reverse_of[relations], return_inverse=True)
+        evidence, underflow = log_evidence_block(params, used, alpha, workers=workers)
     parts = list(spans)
     ranks = {kind: np.concatenate([part[kind] for part in parts]) for kind in kinds}
     reports = {}
@@ -407,7 +571,7 @@ def write_ranks_dump(path, dataset: IndexedDataset, split: str, report: MetricsR
     """Per-query dump: s, r, o labels, direction, rank, relation_rank; atomic."""
     if report.ranks is None:
         raise ValueError("report was built without keep_ranks")
-    triples = dataset.split(split)
+    triples = _queried_triples(dataset, split)
     vocab = dataset.vocab
     n = len(triples)
     with atomic_write(path) as buf:

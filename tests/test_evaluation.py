@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from helpers import make_params
 from dskg import cli, evaluation, model
-from dskg.data import RawTriple, augment_reverse, index_dataset, save_dataset
+from dskg.data import IndexedDataset, RawTriple, augment_reverse, index_dataset, save_dataset
 from dskg.evaluation import (
     EnhanceConfig,
     enhance_scores,
@@ -583,44 +583,60 @@ class TestReportFormat:
 
 
 class TestScoringNames:
-    """Every eval call scores through the module names a profiler wraps.
+    """Every eval pass scores each chunk of queries once, through the names
+    it looks up in ``evaluation``.
 
-    A refactor that scores around ``entity_scores_batch``,
-    ``relation_scores_batch`` or ``relation_prob_matrix`` would move that
-    time out of sight of anything that traces them.
+    The pass ranks from the logits ``entity_logits_batch`` returns, one call
+    per chunk, and builds its reverse evidence with ``log_evidence_block``;
+    ``relation_scores_batch`` gives the cascade's relation scores, and
+    ``relation_prob_matrix`` is built at most once, only for rows that fall
+    back to the exact probabilities. A refactor that scored a chunk twice,
+    or scored before a bad argument is named, would show in these counts.
     """
 
     CHUNK = 3
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"entity_rows": [], "relation_rows": [], "matrix": 0, "in_matrix": False}
+        calls = {"entity_rows": [], "relation_rows": [], "evidence": 0, "matrix": 0}
+        inside = threading.local()  # the blocks' own entity rows are not query scoring
         originals = {
             name: getattr(evaluation, name)
-            for name in ("entity_scores_batch", "relation_scores_batch", "relation_prob_matrix")
+            for name in ("entity_logits_batch", "relation_scores_batch", "log_evidence_block",
+                         "relation_prob_matrix")
         }
 
         def entity(params, subjects, relations, **kwargs):
             calls["entity_rows"].append(len(subjects))
-            return originals["entity_scores_batch"](params, subjects, relations, **kwargs)
+            return originals["entity_logits_batch"](params, subjects, relations, **kwargs)
 
         def relation(params, subjects, **kwargs):
-            if not calls["in_matrix"]:  # the matrix's own rows are not query scoring
+            if not getattr(inside, "block", False):
                 calls["relation_rows"].append(len(subjects))
             return originals["relation_scores_batch"](params, subjects, **kwargs)
 
-        def matrix(*args, **kwargs):
-            calls["matrix"] += 1
-            calls["in_matrix"] = True
-            try:
-                return originals["relation_prob_matrix"](*args, **kwargs)
-            finally:
-                calls["in_matrix"] = False
+        def block(name, key):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                inside.block = True
+                try:
+                    return originals[name](*args, **kwargs)
+                finally:
+                    inside.block = False
+            return counted
 
-        monkeypatch.setattr(evaluation, "entity_scores_batch", entity)
+        monkeypatch.setattr(evaluation, "entity_logits_batch", entity)
         monkeypatch.setattr(evaluation, "relation_scores_batch", relation)
-        monkeypatch.setattr(evaluation, "relation_prob_matrix", matrix)
+        monkeypatch.setattr(evaluation, "log_evidence_block",
+                            block("log_evidence_block", "evidence"))
+        monkeypatch.setattr(evaluation, "relation_prob_matrix",
+                            block("relation_prob_matrix", "matrix"))
         return calls
+
+    @staticmethod
+    def nothing_scored(calls):
+        return (calls["entity_rows"] == calls["relation_rows"] == []
+                and calls["evidence"] == calls["matrix"] == 0)
 
     @staticmethod
     def setup_model(seed=8):
@@ -643,7 +659,8 @@ class TestScoringNames:
         assert sorted(calls["entity_rows"]) == chunks
         cascade = evaluate is evaluate_cascade
         assert sorted(calls["relation_rows"]) == (chunks if cascade else [])
-        assert calls["matrix"] == (1 if enhanced else 0)
+        assert calls["evidence"] == (1 if enhanced else 0)
+        assert calls["matrix"] <= calls["evidence"]  # built at most once, for fallback rows
 
     def test_cmd_eval_is_one_pass(self, calls, tmp_path, capsys):
         ds, params = self.setup_model()
@@ -653,7 +670,8 @@ class TestScoringNames:
                          "--data", str(tmp_path / "data.dskg"), "--out", str(tmp_path / "out")])
         assert code == 0, capsys.readouterr().err
         chunks = self.chunk_sizes(2 * len(ds.test), 256)
-        assert calls["matrix"] == 1
+        assert calls["evidence"] == 1
+        assert calls["matrix"] == 0  # every row of this float32 model is certified
         assert calls["entity_rows"] == chunks and calls["relation_rows"] == chunks
 
     @pytest.mark.parametrize("evaluate", [evaluate_entity_prediction, evaluate_cascade])
@@ -664,20 +682,20 @@ class TestScoringNames:
         params = make_params(num_entities=3, num_relations=2)
         with pytest.raises(ValueError, match="split 'valid' has no triples to evaluate"):
             evaluate(params, ds, EnhanceConfig(enabled=enhanced), split="valid")
-        assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+        assert self.nothing_scored(calls)
 
     def test_no_variant_asked_is_an_error_before_any_scoring(self, calls):
         ds, params = self.setup_model()
         with pytest.raises(ValueError, match="no evaluation variant asked for"):
             evaluation.evaluate_variants(params, ds, [])
-        assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+        assert self.nothing_scored(calls)
 
     def test_unknown_variant_is_an_error_before_any_scoring(self, calls):
         ds, params = self.setup_model()
         with pytest.raises(ValueError) as err:
             evaluation.evaluate_variants(params, ds, ["entity_fancy"])
         assert str(err.value) == "unknown evaluation variants: ['entity_fancy']"
-        assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+        assert self.nothing_scored(calls)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_alpha_is_named_before_any_scoring(self, calls, workers):
@@ -685,12 +703,12 @@ class TestScoringNames:
         with pytest.raises(ValueError) as err:
             evaluation.evaluate_variants(params, ds, alpha=1.5, chunk=self.CHUNK, workers=workers)
         assert str(err.value) == "alpha must be in (0, 1), got 1.5"
-        # the reverse-power block is asked for, and refuses, before any query is scored
-        assert calls["matrix"] == 1
+        # the reverse-evidence block is asked for, and refuses, before any query is scored
+        assert calls["evidence"] == 1 and calls["matrix"] == 0
         assert calls["entity_rows"] == calls["relation_rows"] == []
         # a plain-only pass never uses alpha, so never checks it
         evaluation.evaluate_variants(params, ds, ["entity_plain", "cascade_plain"], alpha=1.5)
-        assert calls["matrix"] == 1 and calls["entity_rows"]
+        assert calls["evidence"] == 1 and calls["entity_rows"]
 
     @pytest.mark.parametrize("chunk", [0, -1])
     def test_chunk_below_one_is_named_before_any_scoring(self, calls, chunk):
@@ -698,9 +716,11 @@ class TestScoringNames:
         message = f"chunk must be >= 1, got {chunk}"
         with pytest.raises(ValueError, match=message):
             evaluation.evaluate_variants(params, ds, chunk=chunk)
-        assert calls["entity_rows"] == calls["relation_rows"] == [] and calls["matrix"] == 0
+        assert self.nothing_scored(calls)
         with pytest.raises(ValueError, match=message):
             evaluation.relation_prob_matrix(params, [0, 1], 0.5, chunk=chunk)
+        with pytest.raises(ValueError, match=message):
+            evaluation.log_evidence_block(params, [0, 1], 0.5, chunk=chunk)
 
 
 class TestChunkedPasses:
@@ -786,3 +806,204 @@ class TestChunkedPasses:
         for ranks in passes:
             for name in evaluation.VARIANTS:
                 assert np.array_equal(ranks[name], reference[name]), name
+
+
+def exact_pass_ranks(params, ds, *, chunk=256, pessimistic=False, alpha=EnhanceConfig.alpha):
+    """Every variant's ranks with every row through the float64 probabilities.
+
+    Each chunk of queries is scored by ``entity_scores_batch``, as a pass
+    scores it (one GEMM per chunk, so the logits have the same bits), its
+    enhanced rows are multiplied by ``relation_prob_matrix``'s rows, and
+    ``filtered_ranks`` / ``unfiltered_ranks`` rank them.
+    """
+    subjects, relations, golds = augment_reverse(ds.test, ds.vocab).T
+    lo, hi = ds.answer_spans(subjects, relations)
+    power = relation_prob_matrix(params, np.arange(ds.vocab.num_relations), alpha)
+    parts = {"plain": [], "enhanced": [], "relation": []}
+    for start in range(0, len(golds), chunk):
+        q = slice(start, start + chunk)
+        probs = entity_scores_batch(params, subjects[q], relations[q])
+        known = (golds[q], lo[q], hi[q], ds.answer_objects)
+        parts["plain"].append(filtered_ranks(probs, *known, pessimistic=pessimistic))
+        probs *= power[ds.vocab.reverse_of[relations[q]]]
+        parts["enhanced"].append(filtered_ranks(probs, *known, pessimistic=pessimistic))
+        parts["relation"].append(unfiltered_ranks(
+            relation_scores_batch(params, subjects[q]), relations[q], pessimistic=pessimistic
+        ))
+    ranks = {kind: np.concatenate(values) for kind, values in parts.items()}
+    return {
+        **{f"entity_{kind}": ranks[kind] for kind in ("plain", "enhanced")},
+        **{f"cascade_{kind}": ranks[kind] * ranks["relation"] for kind in ("plain", "enhanced")},
+    }
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """Rows a pass ranks from the float64 probabilities, plain and enhanced."""
+    rows = {"plain": 0, "enhanced": 0}
+    original = evaluation._exact_ranks
+    lock = threading.Lock()
+
+    def counted(raw, power, golds, *args, **kwargs):
+        with lock:
+            rows["plain" if power is None else "enhanced"] += len(golds)
+        return original(raw, power, golds, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_exact_ranks", counted)
+    return rows
+
+
+class TestCertifiedRanks:
+    """Ranks from float32 logits and log-space reverse evidence equal the
+    float64 probabilities' ranks, including the rows no certificate covers."""
+
+    @staticmethod
+    def float32_model(seed=12, num_entities=24):
+        ds = random_toy_dataset(np.random.default_rng(seed), num_entities=num_entities,
+                                num_relations=3, n_train=60, n_eval=9)
+        params = make_params(num_entities=ds.vocab.num_entities,
+                             num_relations=ds.vocab.num_relations, seed=seed, dtype=np.float32)
+        return ds, params
+
+    @staticmethod
+    def assert_same_ranks(params, ds, runs=((256, 1), (4, 1), (4, 2), (7, 2))):
+        """Every variant, both tie rules, at each (chunk, workers) of ``runs``."""
+        for pessimistic in (False, True):
+            for chunk, workers in runs:
+                expected = exact_pass_ranks(params, ds, chunk=chunk, pessimistic=pessimistic)
+                reports = evaluation.evaluate_variants(params, ds, chunk=chunk, workers=workers,
+                                                       keep_ranks=True, pessimistic=pessimistic)
+                for name in evaluation.VARIANTS:
+                    assert np.array_equal(reports[name].ranks, expected[name]), (
+                        name, pessimistic, chunk, workers)
+
+    def test_a_float32_model_needs_no_fallback(self, exact_rows):
+        ds, params = self.float32_model()
+        self.assert_same_ranks(params, ds)
+        assert exact_rows == {"plain": 0, "enhanced": 0}
+
+    def test_float64_logits_rank_every_plain_row_exactly(self, exact_rows):
+        ds, params = self.float32_model()
+        params = make_params(num_entities=ds.vocab.num_entities,
+                             num_relations=ds.vocab.num_relations, seed=12)
+        evaluation.evaluate_variants(params, ds, ["entity_plain"])
+        assert exact_rows["plain"] == 2 * len(ds.test)
+
+    def test_zero_entity_outputs_send_every_plain_row_back(self, exact_rows):
+        # Every logit is 0, so every plain rank is a tie of all N entities;
+        # twin entity embeddings also tie two entities' reverse evidence.
+        ds, params = self.float32_model()
+        params.entity_out_w[...] = 0.0
+        params.entity_out_b[...] = 0.0
+        params.entity_embed[1] = params.entity_embed[0]
+        self.assert_same_ranks(params, ds)
+        # both rules, 4 passes a rule, every query once a pass
+        assert exact_rows["plain"] == 2 * 4 * 2 * len(ds.test)
+        assert exact_rows["enhanced"] > 0
+
+    def test_underflowing_reverse_probabilities_fall_back(self, exact_rows):
+        ds, params = self.float32_model()
+        params.relation_out_b[::2] -= 800.0
+        self.assert_same_ranks(params, ds)
+        assert exact_rows["plain"] == 0 and exact_rows["enhanced"] > 0
+
+    def test_golds_below_the_exp_floor_fall_back(self, exact_rows):
+        ds, params = self.float32_model()
+        params.entity_out_b[::3] -= 800.0
+        self.assert_same_ranks(params, ds)
+        assert exact_rows["plain"] > 0 and exact_rows["enhanced"] > 0
+
+    def test_exact_block_is_built_once_by_racing_threads(self, monkeypatch):
+        # Many one-query chunks fall back at once on more workers than cores,
+        # with a short switch interval; each must find the one exact block.
+        ds, params = self.float32_model()
+        params.relation_out_b[::2] -= 800.0
+        built = []
+        original = evaluation.relation_prob_matrix
+
+        def counted(*args, **kwargs):
+            built.append(threading.get_ident())
+            time.sleep(0.01)  # a slow build keeps the other threads waiting on it
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "relation_prob_matrix", counted)
+        expected = exact_pass_ranks(params, ds, chunk=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                built.clear()
+                reports = evaluation.evaluate_variants(params, ds, chunk=1, workers=4,
+                                                       keep_ranks=True)
+                assert len(built) == 1
+                for name in evaluation.VARIANTS:
+                    assert np.array_equal(reports[name].ranks, expected[name]), name
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reverse_evidence_a_rounding_apart_falls_back(self, exact_rows, seed):
+        # One relation's logit varies by entity, far below the others, so the
+        # entities' log-sums, and with them every other relation's evidence,
+        # differ only in their last bits; equal entity logits leave the
+        # enhanced rows ordered by those bits alone.
+        ds, params = self.float32_model(seed=seed, num_entities=12)
+        rng = np.random.default_rng(seed)
+        varying = rng.integers(params.num_relations)
+        params.relation_out_w[np.arange(params.num_relations) != varying] = 0.0
+        params.relation_out_b[:] = rng.normal(0.0, 1.0, params.num_relations)
+        params.relation_out_b[varying] = -30.0
+        params.entity_out_w[...] = 0.0
+        params.entity_out_b[...] = 0.0
+        self.assert_same_ranks(params, ds)
+        assert exact_rows["enhanced"] > 0
+
+    @given(
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1.0, 40.0, 400.0, 4000.0]),
+        neighbours=st.integers(0, 6),
+        floor_gap=st.sampled_from([-679.0, -681.0, -700.0, -740.0]),
+        relation_shift=st.sampled_from([0.0, -650.0, -700.0, -760.0]),
+    )
+    def test_matches_the_exact_path_on_small_random_graphs(
+        self, seed, scale, neighbours, floor_gap, relation_shift
+    ):
+        ds, params = self.float32_model(seed=seed % 1000, num_entities=12)
+        rng = np.random.default_rng(seed)
+        n = params.num_entities
+        params.entity_out_b[:] = rng.normal(0.0, scale, n)
+        # Entities with a zero output row score their bias alone: chain them
+        # into adjacent float32 values, with one exact tie at the end.
+        chain = rng.choice(n, size=neighbours, replace=False)
+        params.entity_out_w[chain] = 0.0
+        for a, b in zip(chain[:-1], chain[1:]):
+            params.entity_out_b[b] = np.nextafter(params.entity_out_b[a], np.float32(np.inf))
+        if neighbours >= 3:
+            params.entity_out_b[chain[-1]] = params.entity_out_b[chain[-2]]
+        # one entity near the float64 exp floor below the top logit
+        params.entity_out_b[rng.integers(n)] = params.entity_out_b.max() + floor_gap
+        params.relation_out_b[rng.integers(params.num_relations)] += relation_shift
+        self.assert_same_ranks(params, ds, runs=((256, 1), (5, 2)))
+
+
+class TestTrainSplit:
+    def test_each_training_triple_is_queried_once(self, tiny_dataset, tmp_path):
+        ds = tiny_dataset
+        params = make_params(num_entities=ds.vocab.num_entities,
+                             num_relations=ds.vocab.num_relations, dtype=np.float32)
+        reports = evaluation.evaluate_variants(params, ds, split="train", keep_ranks=True)
+        # the training triples queried as a test split, with the same known answers
+        as_test = IndexedDataset(ds.vocab, ds.raw_train, np.concatenate([ds.valid, ds.test]),
+                                 ds.raw_train)
+        expected = evaluation.evaluate_variants(params, as_test, keep_ranks=True)
+        for name in evaluation.VARIANTS:
+            assert reports[name].count == 2 * len(ds.raw_train) == 10
+            assert np.array_equal(reports[name].ranks, expected[name].ranks), name
+        path = tmp_path / "ranks.tsv"
+        evaluation.write_ranks_dump(path, ds, "train", reports["entity_plain"])
+        labels = ds.vocab.entity_labels, ds.vocab.relation_labels
+        rows = [line.split("\t")[:4] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert rows == [
+            [labels[0][s], labels[1][r], labels[0][o], direction]
+            for direction in ("tail", "head") for s, r, o in ds.raw_train
+        ]
